@@ -13,32 +13,7 @@ import random
 import sys
 from collections import Counter
 
-from qgspectra import (
-    ChainGraphSpec,
-    StarGraphSpec,
-    build_chain,
-    build_ladder,
-    build_star,
-    regularity_sum,
-)
-
-
-def sample_star(rng: random.Random):
-    lengths = tuple(rng.uniform(0.5, 20.0) for _ in range(3))
-    lambdas = tuple(rng.uniform(0.0, 0.99) for _ in range(3))
-    return build_star(StarGraphSpec.from_bonds(lengths, lambdas))
-
-
-def sample_chain(rng: random.Random):
-    bond = tuple(rng.uniform(0.5, 10.0) for _ in range(3))
-    actions = (
-        bond[0] + bond[1] + bond[2],
-        -bond[0] + bond[1] + bond[2],
-        bond[0] - bond[1] + bond[2],
-        bond[0] + bond[1] - bond[2],
-    )
-    beta = tuple(rng.uniform(0.05, 1.0) for _ in range(3))
-    return build_chain(ChainGraphSpec(actions, beta))
+from qgspectra import build_ladder, random_chain, random_star, regularity_sum
 
 
 def survey(label: str, sampler, count: int, rng: random.Random) -> None:
@@ -71,8 +46,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
-    survey("three-bond stars", sample_star, args.count, rng)
-    survey("four-vertex chains", sample_chain, args.count, rng)
+    survey("three-bond stars", random_star, args.count, rng)
+    survey("four-vertex chains", random_chain, args.count, rng)
     return 0
 
 

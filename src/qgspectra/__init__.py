@@ -15,6 +15,8 @@ from .graphs import (
     build_chain,
     build_star,
     chain_reflections,
+    random_chain,
+    random_star,
     star_actions,
     star_amplitudes,
 )
@@ -22,7 +24,6 @@ from .oracle import OracleReport, WeylAudit, compare, scan_roots, weyl_audit
 from .solver import (
     INTERIOR,
     SEPARATOR_COINCIDENCE,
-    BracketError,
     LadderSolution,
     RefinementStall,
     RootEntry,
@@ -30,7 +31,6 @@ from .solver import (
     SeparatorFailure,
     SolverConfig,
     descend_level,
-    extract_root,
     regular_separators,
     solve_ladder,
 )
@@ -76,18 +76,18 @@ __all__ = [
     "star_actions",
     "star_amplitudes",
     "chain_reflections",
+    "random_star",
+    "random_chain",
     "SolverConfig",
     "RootEntry",
     "RootTable",
     "LadderSolution",
     "SeparatorFailure",
-    "BracketError",
     "RefinementStall",
     "INTERIOR",
     "SEPARATOR_COINCIDENCE",
     "solve_ladder",
     "descend_level",
-    "extract_root",
     "regular_separators",
     "scan_roots",
     "compare",

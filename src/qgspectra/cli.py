@@ -32,7 +32,6 @@ from typing import Sequence
 
 from .oracle import compare, scan_roots, weyl_audit
 from .solver import (
-    BracketError,
     RefinementStall,
     SeparatorFailure,
     SolverConfig,
@@ -120,15 +119,19 @@ def _pick(flag, overrides: dict, key: str, default):
     return default
 
 
-def _resolve_config(spec: LoadedSpec, args, parser_error) -> SolverConfig:
+def _resolve_config(spec: LoadedSpec, args, root_tol: float | None) -> SolverConfig:
+    """Solver settings from the flags over the file's ``solver`` block.
+
+    ``root_tol`` is passed separately because ``verify`` reads ``--tol`` as
+    its comparison tolerance, not the root tolerance.
+    """
     ov = spec.solver_overrides
     k_max = _pick(getattr(args, "kmax", None), ov, "k_max", None)
     if k_max is None:
-        parser_error("no search window: pass --kmax or set solver.k_max in the file")
-    root_tol = _pick(args.tol, ov, "root_tol", _DEFAULT_ROOT_TOL)
+        _fail_usage("no search window: pass --kmax or set solver.k_max in the file")
     return SolverConfig(
         k_max=k_max,
-        root_tol=root_tol,
+        root_tol=_pick(root_tol, ov, "root_tol", _DEFAULT_ROOT_TOL),
         coincidence_tol=_pick(args.coincidence_tol, ov, "coincidence_tol",
                               _DEFAULT_COINCIDENCE_TOL),
         max_order=_pick(args.max_order, ov, "max_order", _DEFAULT_MAX_ORDER),
@@ -143,7 +146,7 @@ def _open_out(path: str | None):
 
 def _cmd_solve(args) -> int:
     spec = load_graph_spec(args.graph)
-    cfg = _resolve_config(spec, args, _fail_usage)
+    cfg = _resolve_config(spec, args, args.tol)
     solution = solve_ladder(spec.function, cfg)
     out, close = _open_out(args.out)
     try:
@@ -175,8 +178,7 @@ def _cmd_order(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_graph_spec(args.graph)
     compare_tol = args.tol if args.tol is not None else _DEFAULT_COMPARE_TOL
-    args.tol = None  # --tol means the comparison tolerance here
-    cfg = _resolve_config(spec, args, _fail_usage)
+    cfg = _resolve_config(spec, args, None)
     solution = solve_ladder(spec.function, cfg)
     ks = solution.spectrum.ks
     oracle_roots, step = scan_roots(
@@ -256,7 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SpecFileError as exc:
         print(f"qgspectra: error: {exc}", file=sys.stderr)
         return 1
-    except (SeparatorFailure, OrderCapError, BracketError, RefinementStall) as exc:
+    except (SeparatorFailure, OrderCapError, RefinementStall) as exc:
         print(f"qgspectra: solver failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

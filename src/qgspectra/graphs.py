@@ -12,6 +12,7 @@ on demand; both parameterizations are accepted on input.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,8 @@ __all__ = [
     "build_star",
     "chain_reflections",
     "build_chain",
+    "random_star",
+    "random_chain",
 ]
 
 _Triple = tuple[float, float, float]
@@ -164,3 +167,27 @@ def build_chain(spec: ChainGraphSpec) -> TrigSpectralFunction:
         0.5,
         [(s1, 0.5, -r2), (s2, 0.5, -r2 * r3), (s3, 0.5, r3)],
     )
+
+
+def random_star(rng: random.Random) -> TrigSpectralFunction:
+    """A star with bond lengths in [0.5, 20] and potentials lambda in [0, 0.99]."""
+    lengths = tuple(rng.uniform(0.5, 20.0) for _ in range(3))
+    lambdas = tuple(rng.uniform(0.0, 0.99) for _ in range(3))
+    return build_star(StarGraphSpec.from_bonds(lengths, lambdas))
+
+
+def random_chain(rng: random.Random) -> TrigSpectralFunction:
+    """A chain over the star combinations of three bond actions in [0.5, 10].
+
+    Those combinations keep every |S_j| strictly under S0 with enough
+    margin that the ladder terminates quickly; beta is drawn in [0.05, 1].
+    """
+    bond = tuple(rng.uniform(0.5, 10.0) for _ in range(3))
+    actions = (
+        bond[0] + bond[1] + bond[2],
+        -bond[0] + bond[1] + bond[2],
+        bond[0] - bond[1] + bond[2],
+        bond[0] + bond[1] - bond[2],
+    )
+    beta = tuple(rng.uniform(0.05, 1.0) for _ in range(3))
+    return build_chain(ChainGraphSpec(actions, beta))

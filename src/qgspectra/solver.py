@@ -8,10 +8,13 @@ below), and a root may legitimately coincide with a separator; that case is
 detected by a magnitude test before any interior search.  Descending level
 by level yields the complete spectrum of the original function.
 
-Interior refinement uses Brent's method on a guaranteed bracket.  A few
-interior probe points per interval guard against silently dropping a root
-pair: two sign changes inside one interval mean the separator structure is
-broken, which aborts with a diagnostic rather than returning a bad table.
+Each level is solved in one batch.  A few interior probe points per
+interval guard against silently dropping a root pair: two sign changes
+inside one interval mean the separator structure is broken, which aborts
+with a diagnostic rather than returning a bad table.  The bracket around
+each single sign change is then refined by a vectorized safeguarded Newton
+iteration (rtsafe) on the analytic derivative ``g_m' = s0 * g_{m+1}``, the
+next level of the ladder.
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from scipy.optimize import brentq
+import numpy as np
 
 from .trig import (
     DerivativeLadder,
     TrigSpectralFunction,
     build_ladder,
+    derivative_level,
+    eval_grid,
     is_regular,
     regularity_sum,
-    scalar_fn,
 )
 
 __all__ = [
@@ -38,11 +42,9 @@ __all__ = [
     "RootEntry",
     "RootTable",
     "LadderSolution",
-    "BracketError",
     "RefinementStall",
     "SeparatorFailure",
     "regular_separators",
-    "extract_root",
     "descend_level",
     "solve_ladder",
 ]
@@ -53,16 +55,17 @@ SEPARATOR_COINCIDENCE = "separator-coincidence"
 # Interval probe offsets: fractional parts of n*(sqrt(5)-1)/2, so probes
 # never land on rational subdivisions where the roots of integer-action
 # functions like to sit.
-_PROBE_OFFSETS = (
+_PROBE_OFFSETS = np.array([
     0.2360679774997898,
     0.4721359549995796,
     0.6180339887498949,
     0.8541019662496847,
-)
+])
 
-
-class BracketError(RuntimeError):
-    """Root refinement was asked to search an interval with no sign change."""
+_MAX_ITER = 100
+# Relative part of the refinement stopping rule, as in Brent's method: at
+# large k the step noise of a double-precision root exceeds root_tol alone.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 class RefinementStall(RuntimeError):
@@ -195,45 +198,55 @@ def regular_separators(f: TrigSpectralFunction, k_max: float) -> list[float]:
     return out
 
 
-def _refine(g, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
-    if flo * fhi >= 0.0:
-        raise BracketError(
-            f"bracket violation: no sign change on [{lo}, {hi}] "
-            f"(f(lo)={flo}, f(hi)={fhi})"
-        )
-    root, res = brentq(g, lo, hi, xtol=tol, maxiter=100, full_output=True, disp=False)
-    if not res.converged:
-        raise RefinementStall(f"refinement stall on [{lo}, {hi}]")
-    return root
+def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
+    """One root inside each sign-change bracket ``[lo, hi]``, all at once.
 
-
-def extract_root(
-    f: TrigSpectralFunction,
-    bracket: tuple[float, float],
-    root_tol: float = 1e-12,
-) -> float:
-    """One root inside a sign-change bracket, to within ``root_tol``.
-
-    Brent iterates stay inside the bracket, so the result is guaranteed to
-    lie in ``[lo, hi]``.  Raises :class:`BracketError` when the endpoint
-    signs do not differ.
+    Safeguarded Newton (rtsafe): a Newton step is taken when it stays in
+    the bracket and is at most half the step before last, otherwise the
+    bracket is bisected.  The derivative is ``s0`` times the next ladder
+    level.  An element stops once its last step is within
+    ``root_tol + 4*eps*|k|`` (Brent's default stopping rule), and only
+    unconverged elements are evaluated again.
     """
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    g = scalar_fn(f)
-    return _refine(g, lo, hi, g(lo), g(hi), root_tol)
+    df = derivative_level(f, 1)
+    out = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    neg_lo = flo < 0.0
+    # Regula falsi start: the values at the bracket ends are already known.
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    step = step_old = hi - lo
+    for _ in range(_MAX_ITER):
+        gx = eval_grid(f, x)
+        dg = f.s0 * eval_grid(df, x)
+        left = (gx < 0.0) == neg_lo
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(gx == 0.0, 0.0, gx / dg)
+        xn = x - newton
+        take = (lo <= xn) & (xn <= hi) & (2.0 * np.abs(newton) <= step_old)
+        half = 0.5 * (hi - lo)
+        xn = np.where(take, xn, lo + half)
+        step_old, step = step, np.where(take, np.abs(newton), half)
+        done = (xn == x) | (step <= root_tol + _ROOT_RTOL * np.abs(xn))
+        out[idx[done]] = xn[done]
+        keep = ~done
+        idx, x, lo, hi, neg_lo = idx[keep], xn[keep], lo[keep], hi[keep], neg_lo[keep]
+        step, step_old = step[keep], step_old[keep]
+        if not idx.size:
+            return out
+    raise RefinementStall(f"refinement stall on [{lo[0]}, {hi[0]}] after {_MAX_ITER} iterations")
 
 
 def _sweep(
     f: TrigSpectralFunction,
     boundaries: Sequence[float],
     cfg: SolverConfig,
+    level: int,
     *,
     coincidences: bool,
-    level: int | None = None,
-) -> list[tuple[float, str]]:
-    """Roots of ``f`` in (0, k_max], bracketed by the given boundary points.
+) -> RootTable:
+    """Root table of ``f`` in (0, k_max], bracketed by the given boundary points.
 
     Boundaries are either regular-level separators (``coincidences=False``)
     or the roots of the level above (``coincidences=True``); in the latter
@@ -243,52 +256,50 @@ def _sweep(
     lower edge is the trivial zero at k=0, which is excluded from the
     counting, while one at ``k_max`` is recorded as a root.
     """
-    g = scalar_fn(f)
     thresh = cfg.coincidence_tol * (1.0 + regularity_sum(f))
     lo, hi = cfg.root_tol, cfg.k_max
-    pts = [lo] + [b for b in boundaries if lo < b < hi] + [hi]
-    vals = [g(p) for p in pts]
-    n_iv = len(pts) - 1
-    skip = [False] * n_iv
+    inner = np.asarray(boundaries, dtype=float)
+    pts = np.concatenate(([lo], inner[(lo < inner) & (inner < hi)], [hi]))
+    vals = eval_grid(f, pts)
+    small = np.abs(vals) <= thresh
 
-    found: list[tuple[float, str]] = []
+    coinc = np.zeros(pts.size, dtype=bool)
     if coincidences:
-        for j in range(1, n_iv):
-            if abs(vals[j]) <= thresh:
-                found.append((pts[j], SEPARATOR_COINCIDENCE))
-                skip[j - 1] = True
-                skip[j] = True
-    if abs(vals[0]) <= thresh:
-        skip[0] = True
-    if abs(vals[-1]) <= thresh and not skip[n_iv - 1]:
-        found.append((hi, INTERIOR))
-        skip[n_iv - 1] = True
+        coinc[1:-1] = small[1:-1]
+    skip = coinc[:-1] | coinc[1:]
+    skip[0] |= small[0]
+    edge = bool(small[-1] and not skip[-1])
+    skip[-1] |= edge
 
-    for i in range(n_iv):
-        if skip[i]:
-            continue
-        a, b = pts[i], pts[i + 1]
-        if b - a <= 2.0 * cfg.root_tol:
-            continue
-        nodes = [a] + [a + t * (b - a) for t in _PROBE_OFFSETS] + [b]
-        fvals = [vals[i]] + [g(x) for x in nodes[1:-1]] + [vals[i + 1]]
-        changes = [j for j in range(len(nodes) - 1) if fvals[j] * fvals[j + 1] < 0.0]
-        if not changes:
-            continue
-        if len(changes) > 1:
-            raise SeparatorFailure(
-                f"separator failure: {len(changes)} sign changes inside "
-                f"({a}, {b}) at level {level}; the interval should bracket "
-                "at most one root",
-                interval=(a, b),
-                level=level,
-            )
-        j = changes[0]
-        root = _refine(g, nodes[j], nodes[j + 1], fvals[j], fvals[j + 1], cfg.root_tol)
-        found.append((root, INTERIOR))
+    # Every surviving interval gets the same interior probes, evaluated in
+    # one batch; more than one sign change means a separator is missing.
+    iv = np.flatnonzero(~skip & (pts[1:] - pts[:-1] > 2.0 * cfg.root_tol))
+    a, b = pts[iv], pts[iv + 1]
+    nodes = np.column_stack((a, a[:, None] + _PROBE_OFFSETS * (b - a)[:, None], b))
+    fvals = np.column_stack((vals[iv], eval_grid(f, nodes[:, 1:-1]), vals[iv + 1]))
+    changes = fvals[:, :-1] * fvals[:, 1:] < 0.0
+    counts = changes.sum(axis=1)
+    if (counts > 1).any():
+        r = int(np.argmax(counts > 1))
+        interval = (float(a[r]), float(b[r]))
+        raise SeparatorFailure(
+            f"separator failure: {counts[r]} sign changes inside {interval} at "
+            f"level {level}; the interval should bracket at most one root",
+            interval=interval,
+            level=level,
+        )
+    rows = np.flatnonzero(counts)
+    j = np.argmax(changes[rows], axis=1)
+    interior = _rtsafe(
+        f, nodes[rows, j], nodes[rows, j + 1], fvals[rows, j], fvals[rows, j + 1],
+        cfg.root_tol,
+    )
 
-    found.sort(key=lambda rk: rk[0])
-    return found
+    ks = np.concatenate((pts[coinc], interior, pts[-1:] if edge else pts[:0]))
+    is_coinc = np.arange(ks.size) < coinc.sum()
+    order = np.argsort(ks, kind="stable")
+    kinds = (SEPARATOR_COINCIDENCE if c else INTERIOR for c in is_coinc[order].tolist())
+    return RootTable.from_roots(level, zip(ks[order].tolist(), kinds))
 
 
 def descend_level(
@@ -301,22 +312,7 @@ def descend_level(
     ``upper_roots`` must be the complete root table of the derivative level
     of ``f_lower`` over the same window.
     """
-    roots = _sweep(
-        f_lower,
-        [e.k for e in upper_roots.entries],
-        cfg,
-        coincidences=True,
-        level=upper_roots.level - 1,
-    )
-    return RootTable.from_roots(upper_roots.level - 1, roots)
-
-
-def _solve_regular_level(
-    f: TrigSpectralFunction, cfg: SolverConfig, level: int
-) -> RootTable:
-    seps = regular_separators(f, cfg.k_max)
-    roots = _sweep(f, seps, cfg, coincidences=False, level=level)
-    return RootTable.from_roots(level, roots)
+    return _sweep(f_lower, upper_roots.ks, cfg, upper_roots.level - 1, coincidences=True)
 
 
 def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
@@ -335,7 +331,8 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
         )
     ladder = build_ladder(f, cfg.max_order)
     order = ladder.order
-    tables = [_solve_regular_level(ladder.top, cfg, order)]
+    seps = regular_separators(ladder.top, cfg.k_max)
+    tables = [_sweep(ladder.top, seps, cfg, order, coincidences=False)]
     for m in range(order - 1, -1, -1):
         tables.append(descend_level(ladder[m], tables[-1], cfg))
     return LadderSolution(ladder=ladder, tables=tuple(tables))

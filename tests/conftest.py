@@ -8,6 +8,8 @@ from qgspectra import (
     StarGraphSpec,
     build_chain,
     build_star,
+    random_chain,
+    random_star,
 )
 
 settings.register_profile(
@@ -34,27 +36,6 @@ def worked_star():
 @pytest.fixture(scope="session")
 def worked_chain():
     return build_chain(ChainGraphSpec(WORKED_CHAIN_ACTIONS, WORKED_CHAIN_BETA))
-
-
-def random_star(rng: random.Random):
-    lengths = tuple(rng.uniform(0.5, 20.0) for _ in range(3))
-    lambdas = tuple(rng.uniform(0.0, 0.99) for _ in range(3))
-    return build_star(StarGraphSpec.from_bonds(lengths, lambdas))
-
-
-def random_chain(rng: random.Random):
-    # Admissible actions are the star combinations of three positive bond
-    # actions, which keeps every |S_j| strictly under S0 with enough
-    # margin that the ladder terminates quickly.
-    bond = tuple(rng.uniform(0.5, 10.0) for _ in range(3))
-    actions = (
-        bond[0] + bond[1] + bond[2],
-        -bond[0] + bond[1] + bond[2],
-        bond[0] - bond[1] + bond[2],
-        bond[0] + bond[1] - bond[2],
-    )
-    beta = tuple(rng.uniform(0.05, 1.0) for _ in range(3))
-    return build_chain(ChainGraphSpec(actions, beta))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from conftest import random_star
 from qgspectra import (
     SEPARATOR_COINCIDENCE,
     ChainGraphSpec,
@@ -25,6 +24,7 @@ from qgspectra import (
     evaluate,
     is_regular,
     normalize,
+    random_star,
     regularity_sum,
     scan_roots,
     solve_ladder,

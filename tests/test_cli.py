@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qgspectra
 from qgspectra.cli import main
 
 SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
@@ -119,6 +121,12 @@ class TestVerify:
         assert "verdict: pass" in out
         assert "order: M = 1" in out
 
+    def test_tol_is_the_comparison_tolerance(self, capsys, star_file):
+        argv = ["verify", "--graph", star_file, "--kmax", "20", "--tol", "1e-6"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert "verdict: pass" in out
+
     def test_counting_law_failure(self, capsys, tmp_path):
         p = tmp_path / "unphysical.yaml"
         p.write_text(UNPHYSICAL_YAML, encoding="utf-8")
@@ -199,6 +207,19 @@ class TestFailureModes:
         rc, out, _ = run(capsys, ["--help"])
         assert rc == 0
         assert "solve" in out and "verify" in out
+
+
+def test_import_does_not_load_scipy():
+    src = Path(qgspectra.__file__).resolve().parents[1]
+    code = "import sys, qgspectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(star_file):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,8 @@ from qgspectra import (
     build_star,
     chain_reflections,
     is_regular,
+    random_chain,
+    random_star,
     regularity_sum,
     star_actions,
     star_amplitudes,
@@ -149,3 +152,12 @@ class TestChainSpec:
                 - r3 * math.sin(-3.0 * k)
             )
             assert worked_chain(k) == pytest.approx(expected, abs=1e-14)
+
+
+def test_random_samplers_keep_their_draw_order():
+    # The acceptance suite draws 25 stars, then 25 chains, from Random(7).
+    rng = random.Random(7)
+    stars = [random_star(rng) for _ in range(25)]
+    chain = random_chain(rng)
+    assert stars[0].s0 == pytest.approx(19.461753899735935, abs=1e-12)
+    assert chain.s0 == pytest.approx(11.127202242085783, abs=1e-12)

@@ -1,19 +1,21 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
+from qgspectra import solver
 from qgspectra import (
     INTERIOR,
     SEPARATOR_COINCIDENCE,
-    BracketError,
+    RefinementStall,
     RootEntry,
     RootTable,
     SeparatorFailure,
     SolverConfig,
     descend_level,
-    extract_root,
     normalize,
     regular_separators,
+    scan_roots,
     solve_ladder,
 )
 
@@ -88,23 +90,6 @@ class TestSeparators:
         assert all(a * b < 0.0 for a, b in zip(vals, vals[1:]))
 
 
-class TestExtractRoot:
-    def test_simple_bracket(self):
-        f = pure_cosine(1.0)  # cos(k), root at pi/2
-        r = extract_root(f, (1.0, 2.0))
-        assert r == pytest.approx(math.pi / 2.0, abs=1e-12)
-
-    def test_bracket_violation(self):
-        f = pure_cosine(1.0)
-        with pytest.raises(BracketError, match="bracket violation"):
-            extract_root(f, (0.2, 1.0))  # cos positive on both ends
-
-    def test_empty_bracket(self):
-        f = pure_cosine(1.0)
-        with pytest.raises(ValueError):
-            extract_root(f, (2.0, 1.0))
-
-
 class TestSolveLadder:
     def test_pure_cosine_spectrum(self):
         f = pure_cosine(2.0)
@@ -160,6 +145,28 @@ class TestSolveLadder:
         assert all(e.k > 1e-6 for e in sol.spectrum)
         assert abs(worked_star(0.0)) < 1e-14
 
+    def test_pure_cosine_at_large_k(self):
+        # Near k = 1e4 an ulp is 1.8e-12, so every root must come out as the
+        # double nearest the exact (2n+1)*pi/(2*s0).
+        s0, cfg = 2.0, SolverConfig(k_max=1e4)
+        sol = solve_ladder(pure_cosine(s0), cfg)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            pi = Decimal("3.141592653589793238462643383279502884197")
+            exact = [(2 * n + 1) * pi / (2 * Decimal(s0)) for n in range(6367)]
+        expected = [float(k) for k in exact if k <= Decimal(cfg.k_max)]
+        assert len(sol.spectrum) == len(expected) == 6366
+        assert max(abs(k - e) for k, e in zip(sol.spectrum.ks, expected)) <= cfg.root_tol
+
+    def test_worked_star_at_large_k_matches_scan(self, worked_star):
+        cfg = SolverConfig(k_max=2000.0)
+        sol = solve_ladder(worked_star, cfg)
+        scan, _ = scan_roots(worked_star, (0.0, cfg.k_max))
+        assert len(sol.spectrum) == len(scan) == 11459
+        assert max(abs(k - s) for k, s in zip(sol.spectrum.ks, scan)) <= 1e-9
+        coinc = [e.k for e in sol.spectrum if e.kind == SEPARATOR_COINCIDENCE]
+        assert coinc == pytest.approx([n * math.pi for n in range(1, 637)], abs=1e-9)
+
     def test_deterministic_across_runs(self, worked_star):
         a = solve_ladder(worked_star, SolverConfig(k_max=20.0))
         b = solve_ladder(worked_star, SolverConfig(k_max=20.0))
@@ -176,6 +183,11 @@ class TestDescend:
             descend_level(f, RootTable(level=1, entries=()), cfg)
         assert exc_info.value.interval == (cfg.root_tol, 10.0)
         assert exc_info.value.level == 0
+
+    def test_iteration_cap_raises_refinement_stall(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 1)
+        with pytest.raises(RefinementStall, match="refinement stall"):
+            solve_ladder(pure_cosine(2.0), SolverConfig(k_max=10.0))
 
     def test_coincidence_recorded_once(self, worked_star):
         sol = solve_ladder(worked_star, SolverConfig(k_max=4.0))

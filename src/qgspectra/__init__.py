@@ -49,7 +49,6 @@ from .trig import (
     is_regular,
     normalize,
     regularity_sum,
-    scalar_fn,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +65,6 @@ __all__ = [
     "regularity_sum",
     "REGULARITY_MARGIN",
     "is_regular",
-    "scalar_fn",
     "evaluate",
     "eval_grid",
     "StarGraphSpec",

@@ -3,9 +3,12 @@
 Everything here treats the spectral function as a black box on a window:
 sample it on a fine grid, bisect every sign-change cell, and probe small-
 magnitude dips for tangent (double) roots via the sign of a central
-difference.  No derivative ladder, no separator structure, no SciPy root
-finder; this is the reference implementation the fast solver is audited
-against, so it shares as little machinery with it as possible.
+difference.  Every stage runs on arrays: all cells are bisected together,
+and all dips are screened, probed and split together, each element
+stopping on its own criterion.  No derivative ladder, no separator
+structure, nothing imported from the solver; this is the reference
+implementation the fast solver is audited against, so it shares as little
+machinery with it as possible.
 
 The Weyl audit checks the root count against the leading-order expectation
 ``s0 * k / pi``; for a regular function the deviation is bounded by the
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigSpectralFunction, eval_grid, regularity_sum, scalar_fn
+from .trig import TrigSpectralFunction, eval_grid, regularity_sum
 
 __all__ = [
     "OracleReport",
@@ -69,7 +72,9 @@ class WeylAudit:
         return self.deviation <= bound
 
 
-def _bisect_vec(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) -> np.ndarray:
+def _bisect_vec(
+    f: TrigSpectralFunction, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float
+) -> np.ndarray:
     """Vectorized bisection on cells known to contain a sign change.
 
     ``flo`` carries the signs at ``lo``.  Iterates until every cell is
@@ -81,7 +86,7 @@ def _bisect_vec(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) 
     steps = max(0, math.ceil(math.log2(width / tol))) if width > tol else 0
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        fmid = g(mid)
+        fmid = eval_grid(f, mid)
         left = flo * fmid > 0.0
         lo = np.where(left, mid, lo)
         flo = np.where(left, fmid, flo)
@@ -89,75 +94,104 @@ def _bisect_vec(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) 
     return 0.5 * (lo + hi)
 
 
-def _probe_extremum(
+def _slope(f: TrigSpectralFunction, x: np.ndarray, h: float) -> np.ndarray:
+    """Central difference ``f(x+h) - f(x-h)``, unscaled: only its sign is used."""
+    return eval_grid(f, x + h) - eval_grid(f, x - h)
+
+
+def _bisect_masked(
+    f: TrigSpectralFunction, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float
+) -> np.ndarray:
+    """Per-element bisection of sign-change cells, each stopping on its own.
+
+    An element stops when its cell is at most ``tol`` wide (returning the
+    midpoint), when a midpoint evaluates to exactly zero (returning that
+    midpoint), or after 200 halvings.  Only live elements are evaluated.
+    """
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    out = np.empty_like(lo)
+    live = np.arange(lo.size)
+    for _ in range(200):
+        narrow = hi[live] - lo[live] <= tol
+        out[live[narrow]] = 0.5 * (lo[live[narrow]] + hi[live[narrow]])
+        live = live[~narrow]
+        if not live.size:
+            return out
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = eval_grid(f, mid)
+        hit = fmid == 0.0
+        out[live[hit]] = mid[hit]
+        left = (flo[live] * fmid < 0.0) & ~hit
+        right = ~left & ~hit
+        hi[live[left]] = mid[left]
+        lo[live[right]] = mid[right]
+        flo[live[right]] = fmid[right]
+        live = live[~hit]
+    out[live] = 0.5 * (lo[live] + hi[live])
+    return out
+
+
+def _probe_dips(
     f: TrigSpectralFunction,
-    lo: float,
-    hi: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
     step: float,
     refine_tol: float,
     coincidence_tol: float,
     scale: float,
 ) -> list[float]:
-    """Inspect a small-|f| dip for a root the grid signs missed.
+    """Inspect small-|f| dips ``[lo, hi]`` for roots the grid signs missed.
 
-    Locates the interior critical point by bisecting on the sign of the
-    central difference f(x+h)-f(x-h), which is monotone-free of charge:
-    a single extremum inside the dip is assumed, which holds at dip width
-    a few grid cells.  Classification at the critical point x*:
+    Each dip's interior critical point is located by bisecting on the sign
+    of the central difference f(x+h)-f(x-h); a single extremum inside the
+    dip is assumed, which holds at dip width a few grid cells.  Dips whose
+    edge slopes share a sign hold no extremum and are dropped first.
+    Classification at the critical point x*:
 
     - |f(x*)| within the coincidence threshold: tangent root at x*.
     - f(x*) opposite in sign to the dip edges: two simple roots straddle
-      x*, found by scalar bisection on each side.
+      x*, found by bisection on each side.
     - otherwise: the dip does not reach zero; nothing to report.
+
+    All dips advance together; each element sees the same operations, in
+    the same order, as it would if probed alone.
     """
-    g = scalar_fn(f)
     h = step / 32.0
-
-    def slope(x: float) -> float:
-        return g(x + h) - g(x - h)
-
-    a, b = lo, hi
-    sa = slope(a)
-    sb = slope(b)
-    if sa * sb > 0.0:
-        return []
+    sa = _slope(f, lo, h)
+    sb = _slope(f, hi, h)
+    keep = ~(sa * sb > 0.0)
+    lo, hi, sa = lo[keep], hi[keep], sa[keep]
+    a, b = lo.copy(), hi.copy()
+    live = np.arange(a.size)
     for _ in range(200):
-        if b - a <= refine_tol:
+        live = live[~(b[live] - a[live] <= refine_tol)]
+        if not live.size:
             break
-        m = 0.5 * (a + b)
-        sm = slope(m)
-        if sm == 0.0:
-            a = b = m
-            break
-        if sa * sm < 0.0:
-            b, sb = m, sm
-        else:
-            a, sa = m, sm
+        m = 0.5 * (a[live] + b[live])
+        sm = _slope(f, m, h)
+        flat = sm == 0.0
+        a[live[flat]] = b[live[flat]] = m[flat]
+        below = (sa[live] * sm < 0.0) & ~flat
+        above = ~below & ~flat
+        b[live[below]] = m[below]
+        a[live[above]] = m[above]
+        sa[live[above]] = sm[above]
+        live = live[~flat]
     x_star = 0.5 * (a + b)
-    f_star = g(x_star)
-    if abs(f_star) <= coincidence_tol * scale:
-        return [x_star]
-    f_lo, f_hi = g(lo), g(hi)
-    if f_star * f_lo < 0.0 and f_star * f_hi < 0.0:
-        left = _bisect_scalar(g, lo, x_star, f_lo, refine_tol)
-        right = _bisect_scalar(g, x_star, hi, f_star, refine_tol)
-        return [left, right]
-    return []
-
-
-def _bisect_scalar(g, lo: float, hi: float, flo: float, tol: float) -> float:
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = g(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    f_star = eval_grid(f, x_star)
+    tangent = np.abs(f_star) <= coincidence_tol * scale
+    rest = ~tangent
+    lo, hi, x_star_r, f_star = lo[rest], hi[rest], x_star[rest], f_star[rest]
+    f_lo, f_hi = eval_grid(f, lo), eval_grid(f, hi)
+    split = (f_star * f_lo < 0.0) & (f_star * f_hi < 0.0)
+    pairs = _bisect_masked(
+        f,
+        np.concatenate((lo[split], x_star_r[split])),
+        np.concatenate((x_star_r[split], hi[split])),
+        np.concatenate((f_lo[split], f_star[split])),
+        refine_tol,
+    )
+    return x_star[tangent].tolist() + pairs.tolist()
 
 
 def scan_roots(
@@ -188,64 +222,42 @@ def scan_roots(
     n_cells = max(1, math.ceil((hi - lo) / scan_step))
     xs = np.linspace(lo, hi, n_cells + 1)
     step = xs[1] - xs[0]
-    g_vec = lambda arr: eval_grid(f, arr)  # noqa: E731
     ys = eval_grid(f, xs)
     scale = 1.0 + regularity_sum(f)
 
     # Exact zeros on the grid: collapse runs of consecutive near-zero
-    # samples to their minimum-|y| representative.
+    # samples to their minimum-|y| representative, the first on ties.
     zero_mask = np.abs(ys) <= _ZERO_FLOOR * scale
-    grid_roots: list[float] = []
-    i = 0
-    while i < len(xs):
-        if zero_mask[i]:
-            j = i
-            while j + 1 < len(xs) and zero_mask[j + 1]:
-                j += 1
-            run = slice(i, j + 1)
-            best = i + int(np.argmin(np.abs(ys[run])))
-            grid_roots.append(float(xs[best]))
-            i = j + 1
-        else:
-            i += 1
+    zero_idx = np.flatnonzero(zero_mask)
+    run_start = np.diff(zero_idx, prepend=-2) != 1
+    # Stable sort by run, then |y|: each run's first entry is its argmin.
+    by_run = np.lexsort((np.abs(ys[zero_idx]), np.cumsum(run_start)))
+    grid_roots = xs[zero_idx[by_run[np.flatnonzero(run_start)]]].tolist()
 
-    signs = np.where(zero_mask, 0.0, np.sign(ys))
-    s_lo, s_hi = signs[:-1], signs[1:]
-    cross = s_lo * s_hi < 0.0
-    idx = np.nonzero(cross)[0]
-    crossing_roots = (
-        _bisect_vec(g_vec, xs[idx], xs[idx + 1], ys[idx], refine_tol).tolist()
-        if idx.size
-        else []
-    )
+    # Neither endpoint is an exact zero, so both lie above the zero floor,
+    # their product cannot underflow, and its sign is the product of signs.
+    cross = (ys[:-1] * ys[1:] < 0.0) & ~zero_mask[:-1] & ~zero_mask[1:]
+    idx = np.flatnonzero(cross)
+    crossing_roots = _bisect_vec(f, xs[idx], xs[idx + 1], ys[idx], refine_tol).tolist()
 
     # Dip probing: small |f| at a grid point with no sign change or exact
-    # zero in the neighboring cells may hide a tangency.
+    # zero in the neighboring cells may hide a tangency.  Consecutive dip
+    # points form one cluster, probed between its outer neighbors.
     dip = (np.abs(ys) < _DIP_FRACTION * scale) & ~zero_mask
-    near_cross = np.zeros_like(dip)
-    if idx.size:
-        near_cross[idx] = True
-        near_cross[idx + 1] = True
-    dip &= ~near_cross
-    dip_idx = np.nonzero(dip)[0]
-    probe_roots: list[float] = []
-    if dip_idx.size:
-        clusters: list[tuple[int, int]] = []
-        start = prev = int(dip_idx[0])
-        for t in dip_idx[1:]:
-            t = int(t)
-            if t == prev + 1:
-                prev = t
-            else:
-                clusters.append((start, prev))
-                start = prev = t
-        clusters.append((start, prev))
-        for c_lo, c_hi in clusters:
-            a = xs[max(0, c_lo - 1)]
-            b = xs[min(len(xs) - 1, c_hi + 1)]
-            probe_roots.extend(
-                _probe_extremum(f, float(a), float(b), float(step), refine_tol, coincidence_tol, scale)
-            )
+    dip[idx] = False
+    dip[idx + 1] = False
+    dip_idx = np.flatnonzero(dip)
+    c_lo = dip_idx[np.diff(dip_idx, prepend=-2) != 1]
+    c_hi = dip_idx[np.diff(dip_idx, append=xs.size + 1) != 1]
+    probe_roots = _probe_dips(
+        f,
+        xs[np.maximum(c_lo - 1, 0)],
+        xs[np.minimum(c_hi + 1, xs.size - 1)],
+        float(step),
+        refine_tol,
+        coincidence_tol,
+        scale,
+    )
 
     roots = sorted(grid_roots + crossing_roots + probe_roots)
     roots = [r for r in roots if r > lo + refine_tol]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "normalize",
     "evaluate",
     "eval_grid",
-    "scalar_fn",
     "derivative_level",
     "regularity_sum",
     "REGULARITY_MARGIN",
@@ -222,21 +221,6 @@ def eval_grid(f: TrigSpectralFunction, ks) -> np.ndarray:
     for s, g, a in f.terms:
         acc = acc - a * np.cos(s * ks - _PI * g)
     return acc
-
-
-def scalar_fn(f: TrigSpectralFunction) -> Callable[[float], float]:
-    """A fast ``k -> g(k)`` closure; agrees bitwise with :func:`evaluate`."""
-    s0 = f.s0
-    p0 = _PI * f.gamma0
-    terms = [(t.s, _PI * t.gamma, t.a) for t in f.terms]
-
-    def g(k: float) -> float:
-        acc = math.cos(s0 * k - p0)
-        for s, p, a in terms:
-            acc -= a * math.cos(s * k - p)
-        return acc
-
-    return g
 
 
 def derivative_level(f: TrigSpectralFunction, m: int) -> TrigSpectralFunction:

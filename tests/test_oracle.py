@@ -1,17 +1,129 @@
+import ast
 import math
+import random
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import qgspectra.oracle
 from qgspectra import (
     RootEntry,
     SolverConfig,
     compare,
+    eval_grid,
     normalize,
+    random_star,
+    regularity_sum,
     scan_roots,
     solve_ladder,
     weyl_audit,
 )
+
+
+def reference_scan(f, window, scan_step=None, refine_tol=1e-12, coincidence_tol=1e-10):
+    """``scan_roots`` one grid point, cell and dip at a time.
+
+    The grid, thresholds and per-element arithmetic are those of the batched
+    scan, with scalar control flow.  Values come from one-point
+    ``eval_grid`` calls, so the comparison does not rest on ``math.cos``
+    and ``numpy.cos`` agreeing.
+    """
+    lo, hi = window
+    if scan_step is None:
+        scan_step = math.pi / (40.0 * f.s0)
+    xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / scan_step)) + 1)
+    step = float(xs[1] - xs[0])
+    ys = eval_grid(f, xs)
+    scale = 1.0 + regularity_sum(f)
+    h = step / 32.0
+
+    def g(x):
+        return float(eval_grid(f, np.array([x]))[0])
+
+    def slope(x):
+        return g(x + h) - g(x - h)
+
+    def root_bisect(a, b, fa):
+        for _ in range(200):
+            if b - a <= refine_tol:
+                break
+            m = 0.5 * (a + b)
+            fm = g(m)
+            if fm == 0.0:
+                return m
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        return 0.5 * (a + b)
+
+    roots = []
+    zero = [abs(y) <= 1e-13 * scale for y in ys]
+    i = 0
+    while i < len(xs):
+        j = i
+        while zero[i] and j + 1 < len(xs) and zero[j + 1]:
+            j += 1
+        if zero[i]:
+            roots.append(float(xs[min(range(i, j + 1), key=lambda t: abs(ys[t]))]))
+        i = j + 1
+
+    cells = [i for i in range(len(xs) - 1)
+             if not (zero[i] or zero[i + 1]) and np.sign(ys[i]) * np.sign(ys[i + 1]) < 0.0]
+    if cells:
+        width = max(float(xs[i + 1] - xs[i]) for i in cells)
+        steps = max(0, math.ceil(math.log2(width / refine_tol))) if width > refine_tol else 0
+        for i in cells:
+            a, b, fa = float(xs[i]), float(xs[i + 1]), float(ys[i])
+            for _ in range(steps):
+                m = 0.5 * (a + b)
+                fm = g(m)
+                if fa * fm > 0.0:
+                    a, fa = m, fm
+                else:
+                    b = m
+            roots.append(0.5 * (a + b))
+
+    near = set(cells) | {i + 1 for i in cells}
+    clusters = []
+    for t in range(len(xs)):
+        if abs(ys[t]) < 0.05 * scale and not zero[t] and t not in near:
+            if clusters and clusters[-1][1] == t - 1:
+                clusters[-1][1] = t
+            else:
+                clusters.append([t, t])
+    for c_lo, c_hi in clusters:
+        a0, b0 = float(xs[max(0, c_lo - 1)]), float(xs[min(len(xs) - 1, c_hi + 1)])
+        a, b = a0, b0
+        sa = slope(a)
+        if sa * slope(b) > 0.0:
+            continue
+        for _ in range(200):
+            if b - a <= refine_tol:
+                break
+            m = 0.5 * (a + b)
+            sm = slope(m)
+            if sm == 0.0:
+                a = b = m
+                break
+            if sa * sm < 0.0:
+                b = m
+            else:
+                a, sa = m, sm
+        x = 0.5 * (a + b)
+        fx = g(x)
+        if abs(fx) <= coincidence_tol * scale:
+            roots.append(x)
+        elif fx * g(a0) < 0.0 and fx * g(b0) < 0.0:
+            roots += [root_bisect(a0, x, g(a0)), root_bisect(x, b0, fx)]
+
+    out = []
+    for r in sorted(roots):
+        if r > lo + refine_tol and (not out or r - out[-1] > 4.0 * refine_tol):
+            out.append(r)
+    return out, step
 
 
 class TestScanRoots:
@@ -38,6 +150,51 @@ class TestScanRoots:
         assert roots == pytest.approx(
             [2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0, 2.0 * math.pi], abs=1e-9
         )
+        # Several tangencies in one scan, at 2*pi, 4*pi and 6*pi.
+        roots, _ = scan_roots(f, (0.0, 20.0))
+        assert roots == pytest.approx([2.0 * math.pi * n / 3.0 for n in range(1, 10)], abs=1e-9)
+
+    def test_dips_that_split_and_dips_that_miss(self):
+        # A tiny cos(k/2) term lifts the tangency at 2*pi above zero (two
+        # simple roots straddle it) and sinks the one at 4*pi below (no root).
+        f = normalize(2.0, 0.0, [(1.0, 0.0, 1.0), (0.5, 0.0, 1e-6)])
+        roots, _ = scan_roots(f, (0.0, 13.0))
+        near_2pi = [r for r in roots if abs(r - 2.0 * math.pi) < 0.01]
+        assert near_2pi == pytest.approx([6.28237, 6.28400], abs=1e-5)
+        assert not [r for r in roots if abs(r - 4.0 * math.pi) < 0.1]
+        sol = solve_ladder(f, SolverConfig(k_max=13.0))
+        assert len(roots) == len(sol.spectrum)
+        assert roots == pytest.approx(sol.spectrum.ks, abs=1e-9)
+
+    def test_exact_grid_zeros_reported_once(self):
+        # sin k on a grid of step pi/40 lands within ulps of every n*pi.
+        f = normalize(1.0, 0.5, [])
+        roots, _ = scan_roots(f, (0.0, 10.0 * math.pi), scan_step=math.pi / 40.0)
+        assert len(roots) == 10
+        for n, r in enumerate(roots, start=1):
+            assert abs(r - n * math.pi) <= 1e-12
+        # A run of consecutive near-zero samples around a tangency
+        # collapses to one of the two samples nearest to it.
+        f = normalize(2.0, 0.0, [(1.0, 0.0, 1.0)])
+        window = (2.0 * math.pi - 4e-7, 2.0 * math.pi + 4e-7)
+        roots, step = scan_roots(f, window, scan_step=1e-7)
+        assert len(roots) == 1
+        assert abs(roots[0] - 2.0 * math.pi) < step
+
+    def test_matches_reference_scan_bitwise(self, worked_star, worked_chain):
+        rng = random.Random(11)
+        cases = [
+            (worked_star, (0.0, 12.0), {}),
+            (worked_chain, (0.0, 12.0), {}),
+            (normalize(2.0, 0.0, [(1.0, 0.0, 1.0), (0.5, 0.0, 1e-6)]), (0.0, 13.0), {}),
+            (normalize(2.0, 0.0, [(1.0, 0.0, 1.0)]), (0.5, 20.0), {"coincidence_tol": 1e-6}),
+            (normalize(1.0, 0.5, []), (0.0, 10.0 * math.pi), {"scan_step": math.pi / 40.0}),
+            (normalize(2.0, 0.0, [(1.0, 0.0, 1.0)]),
+             (2.0 * math.pi - 4e-7, 2.0 * math.pi + 4e-7), {"scan_step": 1e-7}),
+        ]
+        cases += [(random_star(rng), (0.0, 6.0), {"refine_tol": 1e-10}) for _ in range(3)]
+        for f, window, kw in cases:
+            assert scan_roots(f, window, **kw) == reference_scan(f, window, **kw)
 
     def test_origin_zero_excluded(self, worked_star):
         roots, _ = scan_roots(worked_star, (0.0, 1.0))
@@ -61,6 +218,20 @@ class TestScanRoots:
         roots, _ = scan_roots(worked_chain, (0.0, kmax))
         assert len(roots) == len(sol.spectrum)
         assert roots == pytest.approx(sol.spectrum.ks, abs=1e-10)
+
+
+def test_oracle_does_not_import_the_solver():
+    # The oracle audits the solver, so it must not share its machinery.
+    tree = ast.parse(Path(qgspectra.oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("solver" in name.split(".") for name in names), ast.unparse(node)
 
 
 class TestCompare:

@@ -17,7 +17,6 @@ from qgspectra import (
     is_regular,
     normalize,
     regularity_sum,
-    scalar_fn,
 )
 
 # Phases on a dyadic grid compose exactly under the ladder's
@@ -146,12 +145,6 @@ class TestEvaluation:
         grid = eval_grid(f, xs)
         pointwise = np.array([evaluate(f, float(x)) for x in xs])
         assert np.allclose(grid, pointwise, rtol=0.0, atol=1e-13)
-
-    def test_scalar_fn_bitwise(self):
-        f = make_fn()
-        g = scalar_fn(f)
-        for k in (0.0, 0.1, 1.7, 12.34, 29.999):
-            assert g(k) == evaluate(f, k)
 
     def test_callable_dispatch(self):
         f = make_fn()

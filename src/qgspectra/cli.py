@@ -27,6 +27,7 @@ with repr-faithful 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -220,8 +221,10 @@ def _cmd_eval(args) -> int:
             _fail_usage("eval needs --k points, or --kmax with --step")
         if args.step <= 0.0 or kmax <= args.kmin:
             _fail_usage("grid needs step > 0 and kmax > kmin")
-        count = int(round((kmax - args.kmin) / args.step)) + 1
-        grid = [args.kmin + i * args.step for i in range(count)]
+        # Whole steps that fit below kmax; a kmax a whole number of steps
+        # from kmin stays on the grid despite rounding in the quotient.
+        count = math.floor((kmax - args.kmin) / args.step + 1e-9) + 1
+        grid = [min(args.kmin + i * args.step, kmax) for i in range(count)]
     ladder = build_ladder(spec.function, max_order)
     out, close = _open_out(args.out)
     try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +49,9 @@ class OracleReport:
 
     roots: tuple[float, ...]
     scan_step: float
-    matched: tuple[tuple[int, float], ...]
+    # Largest deviation among the roots that matched before any failure;
+    # 0.0 on a count mismatch.
+    max_deviation: float
     verdict: str
     mismatch_index: int | None = None
     message: str = ""
@@ -56,10 +59,6 @@ class OracleReport:
     @property
     def ok(self) -> bool:
         return self.verdict == "pass"
-
-    @property
-    def max_deviation(self) -> float:
-        return max((d for _, d in self.matched), default=0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,54 +268,33 @@ def scan_roots(
 
 
 def compare(
-    solver_roots: list[float] | tuple[float, ...],
-    oracle_roots: list[float],
+    solver_roots: Sequence[float] | np.ndarray,
+    oracle_roots: Sequence[float],
     tol: float = 1e-9,
     scan_step: float = float("nan"),
 ) -> OracleReport:
-    """Position-by-position match of two ascending root lists."""
-    ns, no = len(solver_roots), len(oracle_roots)
-    if ns != no:
-        # Point at the first index where the lists already disagree; when
-        # the common prefix matches, the divergence is right past it.
-        where = min(ns, no)
-        for i in range(min(ns, no)):
-            if abs(solver_roots[i] - oracle_roots[i]) > tol:
-                where = i
-                break
-        return OracleReport(
-            roots=tuple(oracle_roots),
-            scan_step=scan_step,
-            matched=(),
-            verdict="fail",
-            mismatch_index=where,
-            message=(
-                f"count mismatch: solver found {ns} roots, oracle found {no} "
-                f"(lists diverge at index {where})"
-            ),
-        )
-    matched: list[tuple[int, float]] = []
-    for i, (a, b) in enumerate(zip(solver_roots, oracle_roots)):
-        d = abs(a - b)
-        if d > tol:
-            return OracleReport(
-                roots=tuple(oracle_roots),
-                scan_step=scan_step,
-                matched=tuple(matched),
-                verdict="fail",
-                mismatch_index=i,
-                message=(
-                    f"root {i + 1} deviates by {d:.3e} (solver {a!r}, "
-                    f"oracle {b!r}, tol {tol:g})"
-                ),
-            )
-        matched.append((i + 1, d))
-    return OracleReport(
-        roots=tuple(oracle_roots),
-        scan_step=scan_step,
-        matched=tuple(matched),
-        verdict="pass",
-    )
+    """Position-by-position match of two ascending root sequences."""
+    a = np.asarray(solver_roots, dtype=float)
+    b = np.asarray(oracle_roots, dtype=float)
+    m = min(a.size, b.size)
+    dev = np.abs(a[:m] - b[:m])
+    bad = np.flatnonzero(dev > tol)
+    # The first index where the lists disagree; when the common prefix
+    # matches and the counts differ, the divergence is right past it.
+    where = int(bad[0]) if bad.size else m
+    roots = tuple(oracle_roots)
+    if a.size != b.size:
+        return OracleReport(roots, scan_step, 0.0, "fail", where, (
+            f"count mismatch: solver found {a.size} roots, oracle found {b.size} "
+            f"(lists diverge at index {where})"
+        ))
+    max_deviation = float(dev[:where].max(initial=0.0))
+    if bad.size:
+        return OracleReport(roots, scan_step, max_deviation, "fail", where, (
+            f"root {where + 1} deviates by {dev[where]:.3e} (solver {float(a[where])!r}, "
+            f"oracle {float(b[where])!r}, tol {tol:g})"
+        ))
+    return OracleReport(roots, scan_step, max_deviation, "pass")
 
 
 def weyl_audit(
@@ -328,22 +306,16 @@ def weyl_audit(
 
     The expected count over ``(lo, hi]`` is ``s0*(hi-lo)/pi``; the audit
     reports the absolute deviation of the actual count.  ``roots`` is a
-    sequence of numbers, each counting once, or of root-table entries
-    (anything with ``k`` and ``kind`` attributes); a separator-coincidence
-    entry is a zero of even order and counts twice, which is what the
-    counting law sees.
+    sequence of numbers, each counting once, or a root table: anything
+    with a ``ks`` column and a bool ``coincident`` column of the same
+    length.  A coincident root is a zero of even order and counts twice,
+    which is what the counting law sees.
     """
     lo, hi = window
     if hi <= lo:
         return WeylAudit(expected=0.0, actual=0, deviation=0.0)
-    actual = 0
-    for r in roots:
-        k = getattr(r, "k", None)
-        if k is None:
-            k, weight = float(r), 1
-        else:
-            weight = 2 if getattr(r, "kind", "") == "separator-coincidence" else 1
-        if lo < k <= hi:
-            actual += weight
+    ks = np.asarray(getattr(roots, "ks", roots), dtype=float)
+    weight = 1 + np.asarray(getattr(roots, "coincident", False), dtype=int)
+    actual = int(np.sum(weight * ((lo < ks) & (ks <= hi))))
     expected = s0 * (hi - lo) / math.pi
     return WeylAudit(expected=expected, actual=actual, deviation=abs(actual - expected))

@@ -15,13 +15,20 @@ with a diagnostic rather than returning a bad table.  The bracket around
 each single sign change is then refined by a vectorized safeguarded Newton
 iteration (rtsafe) on the analytic derivative ``g_m' = s0 * g_{m+1}``, the
 next level of the ladder.
+
+A level's roots are kept as a ``RootTable`` of two columns: the ascending
+roots ``ks`` (float64) and a bool mask ``coincident`` of those found on a
+separator.  Each column goes as is to the next level down, to the oracle's
+comparison and to the counting-law audit; per-root ``RootEntry`` rows
+(index ``n``, root ``k``, ``kind``) are built only when a caller iterates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,40 +119,48 @@ class RootEntry:
     kind: str
 
 
-@dataclass(frozen=True, slots=True)
+_KINDS = (INTERIOR, SEPARATOR_COINCIDENCE)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class RootTable:
-    """Indexed roots of one ladder level, ascending in k, n starting at 1."""
+    """Roots of one ladder level as two read-only columns, ascending in k.
+
+    ``ks`` holds the roots and ``coincident`` marks those that sit on a
+    separator (zeros of even order).  Row ``i`` is root ``n = i + 1``;
+    indexing and iteration build its ``RootEntry`` on demand.
+    """
 
     level: int
-    entries: tuple[RootEntry, ...]
+    ks: np.ndarray
+    coincident: np.ndarray
 
     def __post_init__(self) -> None:
-        prev = 0.0
-        for i, e in enumerate(self.entries):
-            if e.n != i + 1:
-                raise ValueError(f"root indices must run 1..N, got n={e.n} at position {i}")
-            if e.k <= prev and i > 0:
-                raise ValueError(f"roots must strictly increase, got {e.k} after {prev}")
-            if e.kind not in (INTERIOR, SEPARATOR_COINCIDENCE):
-                raise ValueError(f"unknown root kind {e.kind!r}")
-            prev = e.k
-
-    @classmethod
-    def from_roots(cls, level: int, roots: Iterable[tuple[float, str]]) -> "RootTable":
-        entries = tuple(
-            RootEntry(i + 1, k, kind) for i, (k, kind) in enumerate(roots)
-        )
-        return cls(level, entries)
-
-    @property
-    def ks(self) -> list[float]:
-        return [e.k for e in self.entries]
+        ks = np.array(self.ks, dtype=float)
+        coincident = np.array(self.coincident, dtype=bool)
+        if ks.ndim != 1 or coincident.shape != ks.shape:
+            raise ValueError(
+                "ks and coincident must be 1-d and of one length, got shapes "
+                f"{ks.shape} and {coincident.shape}"
+            )
+        if not (np.isfinite(ks).all() and np.all(ks[1:] > ks[:-1])):
+            raise ValueError(f"roots must be finite and strictly increase, got {ks}")
+        ks.setflags(write=False)
+        coincident.setflags(write=False)
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "coincident", coincident)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.ks.size
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __getitem__(self, i: int) -> RootEntry:
+        n = range(1, self.ks.size + 1)[operator.index(i)]
+        return RootEntry(n, self.ks[n - 1].tolist(), _KINDS[self.coincident[n - 1].tolist()])
+
+    def __iter__(self) -> Iterator[RootEntry]:
+        rows = zip(self.ks.tolist(), self.coincident.tolist())
+        for n, (k, c) in enumerate(rows, start=1):
+            yield RootEntry(n, k, _KINDS[c])
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,16 +176,18 @@ class LadderSolution:
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(e.k * e.k for e in self.spectrum.entries)
+        ks = self.spectrum.ks
+        return tuple((ks * ks).tolist())
 
     def table(self, level: int) -> RootTable:
-        t = self.tables[self.ladder.order - level]
-        assert t.level == level
-        return t
+        order = self.ladder.order
+        if not 0 <= level <= order:
+            raise ValueError(f"level must be in 0..{order}, got {level}")
+        return self.tables[order - level]
 
 
-def regular_separators(f: TrigSpectralFunction, k_max: float) -> list[float]:
-    """Extrema of the leading cosine in (0, k_max].
+def regular_separators(f: TrigSpectralFunction, k_max: float) -> np.ndarray:
+    """Extrema of the leading cosine in (0, k_max], ascending.
 
     Only valid for regular functions: there the perturbation cannot flip
     the sign of the leading cosine at its extrema, so consecutive
@@ -182,20 +199,10 @@ def regular_separators(f: TrigSpectralFunction, k_max: float) -> list[float]:
             f"{regularity_sum(f)} is not below 1"
         )
     spacing = math.pi / f.s0
-    n = math.floor(-f.gamma0) + 1
-    while f.gamma0 + n <= 0.0:
-        n += 1
-    while f.gamma0 + (n - 1) > 0.0:
-        n -= 1
-    out: list[float] = []
-    while True:
-        k = (f.gamma0 + n) * spacing
-        if k > k_max:
-            break
-        if k > 0.0:
-            out.append(k)
-        n += 1
-    return out
+    # One index past each end of the window; the mask below trims them.
+    n = np.arange(math.floor(-f.gamma0), math.ceil(k_max / spacing - f.gamma0) + 2)
+    ks = (f.gamma0 + n) * spacing
+    return ks[(ks > 0.0) & (ks <= k_max)]
 
 
 def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
@@ -298,8 +305,7 @@ def _sweep(
     ks = np.concatenate((pts[coinc], interior, pts[-1:] if edge else pts[:0]))
     is_coinc = np.arange(ks.size) < coinc.sum()
     order = np.argsort(ks, kind="stable")
-    kinds = (SEPARATOR_COINCIDENCE if c else INTERIOR for c in is_coinc[order].tolist())
-    return RootTable.from_roots(level, zip(ks[order].tolist(), kinds))
+    return RootTable(level, ks[order], is_coinc[order])
 
 
 def descend_level(

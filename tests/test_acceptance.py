@@ -84,7 +84,7 @@ def test_coincident_root_near_pi(worked_star):
     t0 = time.perf_counter()
     solution = solve_ladder(worked_star, SolverConfig(k_max=4.0))
     wall = time.perf_counter() - t0
-    entry = solution.spectrum.entries[17]
+    entry = solution.spectrum[17]
     assert entry.n == 18
     assert abs(entry.k - math.pi) <= 1e-10
     assert entry.kind == SEPARATOR_COINCIDENCE

@@ -158,6 +158,25 @@ class TestEval:
         assert len(lines) == 4
         assert [row.split(",")[0] for row in lines[1:]] == ["0", "0.5", "1"]
 
+    def test_grid_stops_at_kmax(self, capsys):
+        trig_file = str(SPECS_DIR / "trig.yaml")
+        rc, out, _ = run(
+            capsys,
+            ["eval", "--graph", trig_file, "--kmin", "0", "--kmax", "1",
+             "--step", "0.35"],
+        )
+        assert rc == 0
+        ks = [row.split(",")[0] for row in out.splitlines()[1:]]
+        assert ks == ["0", "0.34999999999999998", "0.69999999999999996"]
+        # A kmax a whole number of steps away is kept, though 3*0.1 > 0.3.
+        rc, out, _ = run(
+            capsys,
+            ["eval", "--graph", trig_file, "--kmin", "0", "--kmax", "0.3",
+             "--step", "0.1"],
+        )
+        assert rc == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]][-1] == "0.29999999999999999"
+
     def test_needs_grid_or_points(self, capsys, star_file):
         rc, _, err = run(capsys, ["eval", "--graph", star_file])
         assert rc == 1

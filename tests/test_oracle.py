@@ -9,7 +9,7 @@ import pytest
 
 import qgspectra.oracle
 from qgspectra import (
-    RootEntry,
+    RootTable,
     SolverConfig,
     compare,
     eval_grid,
@@ -261,6 +261,22 @@ class TestCompare:
         assert rep.mismatch_index == 1
         assert "root 2" in rep.message
 
+    def test_max_deviation_by_outcome(self):
+        # A deviation failure reports the largest deviation before the
+        # failing root; a count mismatch reports none.
+        rep = compare([1.0, 2.0, 3.0], [1.0 + 2e-10, 2.5, 3.0 + 5e-10], tol=1e-9)
+        assert rep.max_deviation == abs(1.0 - (1.0 + 2e-10))
+        rep = compare([1.0, 2.0], [1.0 + 2e-10, 2.0, 3.0], tol=1e-9)
+        assert (rep.max_deviation, rep.mismatch_index) == (0.0, 2)
+        assert compare([], [], tol=1e-9).max_deviation == 0.0
+
+    def test_arrays_report_python_floats(self):
+        rep = compare(np.array([1.0, 2.0]), [1.0, 2.5], tol=1e-9)
+        assert rep.message == (
+            "root 2 deviates by 5.000e-01 (solver 2.0, oracle 2.5, tol 1e-09)"
+        )
+        assert type(rep.max_deviation) is float
+
 
 class TestWeylAudit:
     def test_pure_cosine_within_one(self):
@@ -284,18 +300,13 @@ class TestWeylAudit:
         assert audit.actual == 2
 
     def test_counts_coincidence_entries_twice(self):
-        entries = [
-            RootEntry(1, 0.5, "interior"),
-            RootEntry(2, 1.5, "separator-coincidence"),
-            RootEntry(3, 2.5, "interior"),
-        ]
-        audit = weyl_audit(entries, 1.0, (0.0, 3.0))
+        table = RootTable(0, [0.5, 1.5, 2.5], [False, True, False])
+        audit = weyl_audit(table, 1.0, (0.0, 3.0))
         assert audit.actual == 4
 
     def test_duck_typed_entries(self):
-        rows = [SimpleNamespace(k=1.0, kind="interior"),
-                SimpleNamespace(k=2.0, kind="separator-coincidence")]
-        audit = weyl_audit(rows, 1.0, (0.0, 5.0))
+        columns = SimpleNamespace(ks=[1.0, 2.0], coincident=[False, True])
+        audit = weyl_audit(columns, 1.0, (0.0, 5.0))
         assert audit.actual == 3
 
     def test_window_filter(self):

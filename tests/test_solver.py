@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from qgspectra import solver
@@ -12,6 +13,7 @@ from qgspectra import (
     RootTable,
     SeparatorFailure,
     SolverConfig,
+    TrigSpectralFunction,
     descend_level,
     normalize,
     regular_separators,
@@ -45,23 +47,53 @@ class TestConfig:
 
 
 class TestRootTable:
-    def test_from_roots(self):
-        t = RootTable.from_roots(0, [(1.0, INTERIOR), (2.0, SEPARATOR_COINCIDENCE)])
-        assert [e.n for e in t] == [1, 2]
-        assert t.ks == [1.0, 2.0]
-        assert len(t) == 2
-
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            RootTable(0, (RootEntry(1, 2.0, INTERIOR), RootEntry(2, 1.0, INTERIOR)))
+        with pytest.raises(ValueError, match="strictly increase"):
+            RootTable(0, [2.0, 1.0], [False, False])
+        with pytest.raises(ValueError, match="strictly increase"):
+            RootTable(0, [1.0, 1.0], [False, False])
 
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            RootTable(0, (RootEntry(2, 1.0, INTERIOR),))
+    def test_rejects_nan(self):
+        for ks in ([1.0, math.nan, 3.0], [math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                RootTable(0, ks, [False] * len(ks))
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RootTable(0, (RootEntry(1, 1.0, "mystery"),))
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError, match="one length"):
+            RootTable(0, [1.0, 2.0], [False])
+        with pytest.raises(ValueError, match="1-d"):
+            RootTable(0, [[1.0, 2.0]], [[False, False]])
+
+    def test_columns_are_read_only(self):
+        ks = np.array([1.0, 2.0])
+        t = RootTable(0, ks, [False, True])
+        assert t.ks.dtype == np.float64 and t.coincident.dtype == np.bool_
+        for col in (t.ks, t.coincident):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 0
+        # The table holds its own copy; the caller's array stays writable.
+        ks[0] = 0.5
+        assert t.ks[0] == 1.0
+
+    def test_rows_are_built_on_demand(self):
+        t = RootTable(0, [1.0, 2.0, 3.0], [False, True, False])
+        assert len(t) == 3
+        assert t[-1] == RootEntry(3, 3.0, INTERIOR)
+        assert t[1] == RootEntry(2, 2.0, SEPARATOR_COINCIDENCE)
+        rows = list(t)
+        assert [e.n for e in rows] == [1, 2, 3]
+        assert [e.kind for e in rows] == [INTERIOR, SEPARATOR_COINCIDENCE, INTERIOR]
+        for e in rows + [t[0], t[-3]]:
+            assert type(e.n) is int and type(e.k) is float
+        assert repr(t[0]) == "RootEntry(n=1, k=1.0, kind='interior')"
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                t[i]
+
+    def test_no_elementwise_equality(self):
+        a = RootTable(0, [1.0, 2.0], [False, False])
+        b = RootTable(0, [1.0, 2.0], [False, False])
+        assert a == a and a != b
 
 
 class TestSeparators:
@@ -77,6 +109,23 @@ class TestSeparators:
         seps = regular_separators(f, 10.0)
         assert seps[0] == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert all(k > 0.0 for k in seps)
+
+    def test_matches_scalar_formula(self):
+        cases = [
+            # Derivative levels shift the phase by -1/2 per level.
+            (TrigSpectralFunction(3.0, -2.75), 10.0),  # negative gamma0
+            (TrigSpectralFunction(2.0, -3.0), 10.0),  # gamma0 + n == 0 at n = 3
+            (normalize(2.0, 1.0, []), 10.0),  # gamma0 + n == 0 at n = -1
+            (normalize(5.0, 0.4, []), 0.1),  # below the first separator
+            (normalize(4.0, 0.5, []), 7.5 * math.pi / 4.0),  # k_max on a separator
+        ]
+        for f, k_max in cases:
+            spacing = math.pi / f.s0
+            expected = [(f.gamma0 + n) * spacing for n in range(-5, 100)]
+            expected = [k for k in expected if 0.0 < k <= k_max]
+            assert regular_separators(f, k_max).tolist() == expected
+        assert regular_separators(*cases[3]).size == 0
+        assert regular_separators(*cases[4])[-1] == cases[4][1]
 
     def test_refuses_irregular(self, worked_star):
         with pytest.raises(ValueError, match="regularity"):
@@ -119,7 +168,7 @@ class TestSolveLadder:
         assert sol.spectrum is sol.table(0)
         # level-1 roots act as separators: every level-0 root lies in the
         # closed span of its neighbors
-        upper = sol.table(1).ks
+        upper = sol.table(1).ks.tolist()
         for e in sol.spectrum:
             assert any(
                 a - 1e-9 <= e.k <= b + 1e-9 for a, b in zip([0.0] + upper, upper + [5.0])
@@ -130,8 +179,8 @@ class TestSolveLadder:
         edge = math.pi / 4.0
         sol = solve_ladder(f, SolverConfig(k_max=edge))
         assert len(sol.spectrum) == 1
-        assert sol.spectrum.entries[0].k == edge
-        assert sol.spectrum.entries[0].kind == INTERIOR
+        assert sol.spectrum[0].k == edge
+        assert sol.spectrum[0].kind == INTERIOR
 
     def test_root_tol_must_resolve_separator_spacing(self):
         f = pure_cosine(100.0)
@@ -170,7 +219,14 @@ class TestSolveLadder:
     def test_deterministic_across_runs(self, worked_star):
         a = solve_ladder(worked_star, SolverConfig(k_max=20.0))
         b = solve_ladder(worked_star, SolverConfig(k_max=20.0))
-        assert a.spectrum.ks == b.spectrum.ks
+        assert np.array_equal(a.spectrum.ks, b.spectrum.ks)
+
+    def test_table_level_out_of_range(self, worked_star):
+        sol = solve_ladder(worked_star, SolverConfig(k_max=5.0))
+        assert sol.ladder.order == 1
+        for level in (2, -1):
+            with pytest.raises(ValueError, match=r"0\.\.1"):
+                sol.table(level)
 
 
 class TestDescend:
@@ -180,7 +236,7 @@ class TestDescend:
         f = pure_cosine(2.0)
         cfg = SolverConfig(k_max=10.0)
         with pytest.raises(SeparatorFailure) as exc_info:
-            descend_level(f, RootTable(level=1, entries=()), cfg)
+            descend_level(f, RootTable(1, [], []), cfg)
         assert exc_info.value.interval == (cfg.root_tol, 10.0)
         assert exc_info.value.level == 0
 

@@ -43,6 +43,7 @@ from .trig import (
     Term,
     TrigSpectralFunction,
     build_ladder,
+    derivative_evaluator,
     derivative_level,
     evaluate,
     eval_grid,
@@ -61,6 +62,7 @@ __all__ = [
     "OrderCapError",
     "normalize",
     "derivative_level",
+    "derivative_evaluator",
     "build_ladder",
     "regularity_sum",
     "REGULARITY_MARGIN",

@@ -39,7 +39,7 @@ from .solver import (
     solve_ladder,
 )
 from .specfile import LoadedSpec, SpecFileError, load_graph_spec
-from .trig import OrderCapError, build_ladder, evaluate, regularity_sum
+from .trig import OrderCapError, build_ladder, eval_grid, regularity_sum
 
 __all__ = ["main"]
 
@@ -47,6 +47,9 @@ _DEFAULT_ROOT_TOL = 1e-12
 _DEFAULT_COINCIDENCE_TOL = 1e-10
 _DEFAULT_MAX_ORDER = 64
 _DEFAULT_COMPARE_TOL = 1e-9
+# Grid rows tabulated per evaluation call, so that memory stays flat on a
+# long grid.
+_EVAL_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,30 +212,47 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
+def _grid_rows(kmin: float, kmax: float, step: float) -> int:
+    """Number of rows of the ``--kmin``/``--kmax``/``--step`` grid."""
+    if not all(map(math.isfinite, (kmin, kmax, step))):
+        _fail_usage("grid needs finite kmin, kmax and step")
+    if step <= 0.0 or kmax <= kmin:
+        _fail_usage("grid needs step > 0 and kmax > kmin")
+    steps = (kmax - kmin) / step
+    if not math.isfinite(steps):
+        _fail_usage(f"grid from {kmin} to {kmax} by {step} has too many rows")
+    # Whole steps that fit below kmax; a kmax a whole number of steps from
+    # kmin stays on the grid despite rounding in the quotient.
+    return math.floor(steps + 1e-9) + 1
+
+
 def _cmd_eval(args) -> int:
     spec = load_graph_spec(args.graph)
     max_order = _pick(args.max_order, spec.solver_overrides, "max_order",
                       _DEFAULT_MAX_ORDER)
     if args.k:
-        grid = list(args.k)
+        if not all(map(math.isfinite, args.k)):
+            _fail_usage("evaluation points must be finite")
+        blocks = [list(args.k)]
     else:
         kmax = _pick(args.kmax, spec.solver_overrides, "k_max", None)
         if kmax is None or args.step is None:
             _fail_usage("eval needs --k points, or --kmax with --step")
-        if args.step <= 0.0 or kmax <= args.kmin:
-            _fail_usage("grid needs step > 0 and kmax > kmin")
-        # Whole steps that fit below kmax; a kmax a whole number of steps
-        # from kmin stays on the grid despite rounding in the quotient.
-        count = math.floor((kmax - args.kmin) / args.step + 1e-9) + 1
-        grid = [min(args.kmin + i * args.step, kmax) for i in range(count)]
+        kmin, step = args.kmin, args.step
+        count = _grid_rows(kmin, kmax, step)
+        blocks = (
+            [min(kmin + i * step, kmax) for i in range(start, min(start + _EVAL_ROWS, count))]
+            for start in range(0, count, _EVAL_ROWS)
+        )
     ladder = build_ladder(spec.function, max_order)
     out, close = _open_out(args.out)
     try:
         header = "k," + ",".join(f"g{m}" for m in range(ladder.order + 1))
         print(header, file=out)
-        for k in grid:
-            row = [_g17(k)] + [_g17(evaluate(level, k)) for level in ladder.levels]
-            print(",".join(row), file=out)
+        for ks in blocks:
+            columns = [eval_grid(level, ks).tolist() for level in ladder.levels]
+            for row in zip(ks, *columns):
+                print(",".join(map(_g17, row)), file=out)
     finally:
         if close:
             out.close()

@@ -12,9 +12,11 @@ Each level is solved in one batch.  A few interior probe points per
 interval guard against silently dropping a root pair: two sign changes
 inside one interval mean the separator structure is broken, which aborts
 with a diagnostic rather than returning a bad table.  The bracket around
-each single sign change is then refined by a vectorized safeguarded Newton
-iteration (rtsafe) on the analytic derivative ``g_m' = s0 * g_{m+1}``, the
-next level of the ladder.
+each single sign change is then refined by a vectorized safeguarded Halley
+iteration on the analytic derivatives: ``g_m' = s0 * g_{m+1}`` is the next
+level of the ladder, and ``g_m'' = s0**2 * g_{m+2}`` is level m shifted by
+half a turn, so it reads the same cosines as ``g_m``.  One phase matrix per
+iteration, stacking the phases of levels m and m+1, gives all three.
 
 A level's roots are kept as a ``RootTable`` of two columns: the ascending
 roots ``ks`` (float64) and a bool mask ``coincident`` of those found on a
@@ -36,7 +38,7 @@ from .trig import (
     DerivativeLadder,
     TrigSpectralFunction,
     build_ladder,
-    derivative_level,
+    derivative_evaluator,
     eval_grid,
     is_regular,
     regularity_sum,
@@ -103,11 +105,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k_max) and self.k_max > 0.0):
-            raise ValueError(f"k_max must be positive, got {self.k_max}")
+            raise ValueError(f"k_max must be positive and finite, got {self.k_max}")
         if not (0.0 < self.root_tol < self.k_max):
             raise ValueError(f"root_tol must be in (0, k_max), got {self.root_tol}")
-        if not (self.coincidence_tol > 0.0):
-            raise ValueError(f"coincidence_tol must be positive, got {self.coincidence_tol}")
+        if not (math.isfinite(self.coincidence_tol) and self.coincidence_tol > 0.0):
+            raise ValueError(
+                f"coincidence_tol must be positive and finite, got {self.coincidence_tol}"
+            )
         if self.max_order < 0:
             raise ValueError(f"max_order must be nonnegative, got {self.max_order}")
 
@@ -208,14 +212,15 @@ def regular_separators(f: TrigSpectralFunction, k_max: float) -> np.ndarray:
 def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
     """One root inside each sign-change bracket ``[lo, hi]``, all at once.
 
-    Safeguarded Newton (rtsafe): a Newton step is taken when it stays in
-    the bracket and is at most half the step before last, otherwise the
-    bracket is bisected.  The derivative is ``s0`` times the next ladder
-    level.  An element stops once its last step is within
-    ``root_tol + 4*eps*|k|`` (Brent's default stopping rule), and only
-    unconverged elements are evaluated again.
+    Safeguarded Halley iteration: the step ``2*g*g' / (2*g'**2 - g*g'')`` is
+    taken when it stays in the bracket and is at most half the step before
+    last, otherwise the bracket is bisected.  ``g'`` is ``s0`` times the next
+    ladder level and ``g''`` is read from the same cosines as ``g``, so one
+    phase matrix per iteration gives all three.  An element stops once its
+    last step is within ``root_tol + 4*eps*|k|`` (Brent's default stopping
+    rule), and only unconverged elements are evaluated again.
     """
-    df = derivative_level(f, 1)
+    derivatives = derivative_evaluator(f)
     out = np.empty_like(lo)
     idx = np.arange(lo.size)
     neg_lo = flo < 0.0
@@ -223,18 +228,17 @@ def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.nd
     x = lo - flo * (hi - lo) / (fhi - flo)
     step = step_old = hi - lo
     for _ in range(_MAX_ITER):
-        gx = eval_grid(f, x)
-        dg = f.s0 * eval_grid(df, x)
+        gx, dg, d2g = derivatives(x)
         left = (gx < 0.0) == neg_lo
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(gx == 0.0, 0.0, gx / dg)
-        xn = x - newton
-        take = (lo <= xn) & (xn <= hi) & (2.0 * np.abs(newton) <= step_old)
+            halley = np.where(gx == 0.0, 0.0, 2.0 * gx * dg / (2.0 * dg * dg - gx * d2g))
+        xn = x - halley
+        take = (lo <= xn) & (xn <= hi) & (2.0 * np.abs(halley) <= step_old)
         half = 0.5 * (hi - lo)
         xn = np.where(take, xn, lo + half)
-        step_old, step = step, np.where(take, np.abs(newton), half)
+        step_old, step = step, np.where(take, np.abs(halley), half)
         done = (xn == x) | (step <= root_tol + _ROOT_RTOL * np.abs(xn))
         out[idx[done]] = xn[done]
         keep = ~done

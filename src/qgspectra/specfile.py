@@ -28,6 +28,7 @@ files parse too (YAML is a superset), with the same anchoring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -145,7 +146,10 @@ def _num(doc: _Doc, value: Any, *path_t: Any) -> float:
     if isinstance(value, bool):
         raise doc.fail(f"expected a number, got {value!r}", *path_t)
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise doc.fail("integer too large for a float", *path_t) from None
     if isinstance(value, str):
         try:
             return float(value)
@@ -200,8 +204,8 @@ def _solver_overrides(doc: _Doc) -> dict[str, Any]:
     for key in ("k_max", "root_tol", "coincidence_tol"):
         if key in block:
             v = _num(doc, block[key], "solver", key)
-            if not v > 0.0:
-                raise doc.fail(f"{key} must be positive, got {v}", "solver", key)
+            if not (math.isfinite(v) and v > 0.0):
+                raise doc.fail(f"{key} must be positive and finite, got {v}", "solver", key)
             out[key] = v
     if "max_order" in block:
         v = block["max_order"]

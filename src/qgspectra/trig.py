@@ -14,6 +14,18 @@ functional form with every phase advanced by ``m/2`` and every amplitude
 damped by ``(s_j/s0)**m``.  Iterating this "derivative ladder" eventually
 pushes the amplitude sum below one (the regularity condition), which is the
 property the separator-based root solver needs before it can bracket roots.
+
+Every evaluation goes through one kernel.  A block of ``B`` points becomes a
+``(T+1) x B`` phase matrix ``s_i*k - pi*gamma_i`` over the leading term and
+the ``T`` terms; one ``np.cos`` turns it into cosines, a row scaling applies
+the amplitudes (1 for the leading row), and ``np.subtract.reduce`` along the
+term axis folds ``C_0 - a_1*C_1 - a_2*C_2 - ...`` left to right.  Each
+product and each subtraction is the one the per-term loop
+``acc = acc - a*cos(s*k - pi*gamma)`` would make, in the same order, so the
+values do not depend on the block size or on which caller asks.  Blocks
+hold about ``2**16`` matrix elements, which spreads numpy's per-call cost
+over many cosines without ever allocating a ``(T+1) x N`` temporary for a
+long grid.  ``np.cos`` is the only transcendental function evaluated.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ __all__ = [
     "normalize",
     "evaluate",
     "eval_grid",
+    "derivative_evaluator",
     "derivative_level",
     "regularity_sum",
     "REGULARITY_MARGIN",
@@ -206,21 +219,77 @@ def normalize(
     return TrigSpectralFunction(s0, g0c, tuple(out))
 
 
-def evaluate(f: TrigSpectralFunction, k: float) -> float:
-    """Value of the cosine sum at a single point."""
-    acc = math.cos(f.s0 * k - _PI * f.gamma0)
-    for s, g, a in f.terms:
-        acc -= a * math.cos(s * k - _PI * g)
-    return acc
+# Matrix elements per block of the phase matrix: large enough that numpy's
+# per-call dispatch is spread over many cosines, small enough that a long
+# grid never allocates a (T+1) x N temporary.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _columns(f: TrigSpectralFunction) -> np.ndarray:
+    """Rows of actions, phases and amplitudes, leading term first."""
+    rows = [(f.s0, f.gamma0, 1.0)] + [(t.s, t.gamma, t.a) for t in f.terms]
+    return np.array(rows).T
+
+
+def _cosine_blocks(s: np.ndarray, pg: np.ndarray, x: np.ndarray):
+    """Yield ``(slice, C)`` over blocks of the flat points ``x``, where
+    ``C[i, j] = cos(s[i]*x[j] - pg[i])`` is one block of the phase matrix."""
+    width = max(1, _BLOCK_ELEMENTS // s.size)
+    for start in range(0, x.size, width):
+        block = slice(start, start + width)
+        c = np.multiply.outer(s, x[block])
+        c -= pg[:, None]
+        yield block, np.cos(c, out=c)
 
 
 def eval_grid(f: TrigSpectralFunction, ks) -> np.ndarray:
-    """Vectorized evaluation on an array of points."""
+    """Values of the cosine sum at an array of points, of the same shape."""
     ks = np.asarray(ks, dtype=float)
-    acc = np.cos(f.s0 * ks - _PI * f.gamma0)
-    for s, g, a in f.terms:
-        acc = acc - a * np.cos(s * ks - _PI * g)
-    return acc
+    s, gamma, a = _columns(f)
+    x = ks.ravel()
+    out = np.empty(x.size)
+    for block, c in _cosine_blocks(s, _PI * gamma, x):
+        c *= a[:, None]
+        np.subtract.reduce(c, axis=0, out=out[block])
+    return out.reshape(ks.shape)
+
+
+def derivative_evaluator(f: TrigSpectralFunction):
+    """A function of 1-d points ``x`` returning ``g``, ``g'`` and ``g''`` there.
+
+    Each call evaluates one cosine matrix that stacks the phases of ``f``
+    and of its level 1, so ``g`` and ``g'`` are bitwise ``eval_grid(f, x)``
+    and ``f.s0 * eval_grid(derivative_level(f, 1), x)``.  Level 2 is level 0
+    shifted by half a turn, so ``g'' = -s0**2 * (C_0 - sum_j a_j r_j**2 C_j)``
+    with ``r_j = s_j/s0`` reads the cosines ``C`` of level 0 again.  The
+    stacked columns are built once, when the evaluator is made.
+    """
+    s, gamma, a = _columns(f)
+    r = s / f.s0
+    n = s.size
+    actions = np.concatenate((s, s))
+    phases = _PI * np.concatenate((gamma, gamma - 0.5))
+    amplitudes = np.concatenate((a, a * r))[:, None]
+    damping = (r * r)[:, None]
+    s0 = f.s0
+
+    def values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        out = np.empty((3, x.size))
+        for block, c in _cosine_blocks(actions, phases, x):
+            c *= amplitudes
+            np.subtract.reduce(c[:n], axis=0, out=out[0, block])
+            np.subtract.reduce(c[n:], axis=0, out=out[1, block])
+            c[:n] *= damping
+            np.subtract.reduce(c[:n], axis=0, out=out[2, block])
+        g, g1, g2 = out
+        return g, s0 * g1, -(s0 * s0) * g2
+
+    return values
+
+
+def evaluate(f: TrigSpectralFunction, k: float) -> float:
+    """Value of the cosine sum at a single point."""
+    return float(eval_grid(f, k))
 
 
 def derivative_level(f: TrigSpectralFunction, m: int) -> TrigSpectralFunction:

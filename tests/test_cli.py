@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import qgspectra
+from qgspectra import build_ladder, eval_grid, load_graph_spec
+from qgspectra import cli
 from qgspectra.cli import main
 
 SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
@@ -177,6 +179,57 @@ class TestEval:
         assert rc == 0
         assert [row.split(",")[0] for row in out.splitlines()[1:]][-1] == "0.29999999999999999"
 
+    @pytest.mark.parametrize("grid, reason", [
+        (["--kmax", "inf", "--step", "0.1"], "grid needs finite kmin, kmax and step"),
+        (["--kmax", "1e300", "--step", "1e-300"], "has too many rows"),
+        (["--kmax", "1", "--step", "nan"], "grid needs finite kmin, kmax and step"),
+        (["--kmin", "nan", "--kmax", "1", "--step", "0.1"], "grid needs finite"),
+        (["--kmin=-1e308", "--kmax", "1e308", "--step", "1"], "has too many rows"),
+        (["--k", "0.5", "--k", "inf"], "evaluation points must be finite"),
+    ])
+    def test_rejects_grids_that_cannot_be_tabulated(self, capsys, star_file, grid, reason):
+        rc, out, err = run(capsys, ["eval", "--graph", star_file, *grid])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("qgspectra: error: ") and reason in err
+
+    def test_grid_is_tabulated_in_blocks(self, capsys, star_file, monkeypatch):
+        argv = ["eval", "--graph", star_file, "--kmax", "2", "--step", "0.1"]
+        rc, whole, _ = run(capsys, argv)
+        assert rc == 0
+        sizes = []
+
+        def recording_eval_grid(f, ks):
+            sizes.append(len(ks))
+            return eval_grid(f, ks)
+
+        monkeypatch.setattr(cli, "_EVAL_ROWS", 6)
+        monkeypatch.setattr(cli, "eval_grid", recording_eval_grid)
+        rc, blocked, _ = run(capsys, argv)
+        assert rc == 0 and blocked == whole
+        # 21 rows, two ladder levels, at most six rows per call.
+        assert sizes == [6, 6, 6, 6, 6, 6, 3, 3]
+
+    def test_grid_matches_scalar_cosines(self, capsys):
+        # The CSV is the same as a scalar evaluation with math.cos, term by
+        # term, would write.
+        spec = load_graph_spec(str(SPECS_DIR / "star.yaml"))
+        ladder = build_ladder(spec.function)
+        rc, out, _ = run(capsys, ["eval", "--graph", str(SPECS_DIR / "star.yaml"),
+                                  "--kmin", "-3", "--kmax", "60", "--step", "0.0731"])
+        assert rc == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 862
+        for row in rows:
+            k, *values = (float(v) for v in row.split(","))
+            expected = []
+            for level in ladder.levels:
+                acc = math.cos(level.s0 * k - math.pi * level.gamma0)
+                for s, g, a in level.terms:
+                    acc -= a * math.cos(s * k - math.pi * g)
+                expected.append(acc)
+            assert values == expected
+
     def test_needs_grid_or_points(self, capsys, star_file):
         rc, _, err = run(capsys, ["eval", "--graph", star_file])
         assert rc == 1
@@ -207,6 +260,19 @@ class TestFailureModes:
         rc, _, err = run(capsys, ["solve", "--graph", star_file])
         assert rc == 1
         assert "no search window" in err
+
+    def test_non_finite_window(self, capsys, star_file):
+        rc, out, err = run(capsys, ["solve", "--graph", star_file, "--kmax", "inf"])
+        assert rc == 1
+        assert out == ""
+        assert "k_max must be positive and finite, got inf" in err
+
+    def test_non_finite_window_in_file(self, capsys, tmp_path):
+        p = tmp_path / "star.yaml"
+        p.write_text(STAR_YAML + "solver:\n  k_max: .inf\n", encoding="utf-8")
+        rc, _, err = run(capsys, ["solve", "--graph", str(p)])
+        assert rc == 1
+        assert f"{p}:5: k_max must be positive and finite" in err
 
     def test_order_cap_is_solver_failure(self, capsys, star_file):
         rc, _, err = run(

@@ -45,6 +45,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(k_max=10.0, max_order=-1)
 
+    @pytest.mark.parametrize("key", ["k_max", "coincidence_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            SolverConfig(**{"k_max": 10.0, key: value})
+
 
 class TestRootTable:
     def test_rejects_unsorted(self):
@@ -244,6 +250,28 @@ class TestDescend:
         monkeypatch.setattr(solver, "_MAX_ITER", 1)
         with pytest.raises(RefinementStall, match="refinement stall"):
             solve_ladder(pure_cosine(2.0), SolverConfig(k_max=10.0))
+
+    def test_halley_converges_in_three_evaluations(self, worked_star, monkeypatch):
+        # Cubic convergence from the regula falsi start: two steps, then one
+        # evaluation to see the step fall below the tolerance.  Newton's
+        # method needs a fourth on both levels.
+        sizes = []
+        make = solver.derivative_evaluator
+
+        def counting(f):
+            values = make(f)
+
+            def counted(x):
+                sizes.append(x.size)
+                return values(x)
+
+            return counted
+
+        monkeypatch.setattr(solver, "derivative_evaluator", counting)
+        sol = solve_ladder(worked_star, SolverConfig(k_max=200.0))
+        # Three calls per level; the first of each takes every bracket.
+        assert len(sizes) == 6
+        assert [sizes[0], sizes[3]] == [int((~t.coincident).sum()) for t in sol.tables]
 
     def test_coincidence_recorded_once(self, worked_star):
         sol = solve_ladder(worked_star, SolverConfig(k_max=4.0))

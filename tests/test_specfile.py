@@ -288,6 +288,39 @@ class TestSchemaErrors:
             load_graph_spec(path)
         assert e.value.line == 5
 
+    @pytest.mark.parametrize("key", ["k_max", "root_tol", "coincidence_tol"])
+    @pytest.mark.parametrize("value", [".inf", ".nan", "-.inf"])
+    def test_non_finite_solver_override(self, tmp_path, key, value):
+        path = write(
+            tmp_path,
+            f"""\
+            kind: star
+            alpha: [1.0, 7.0, 11.0]
+            beta: [0.1, 0.2, 0.5]
+            solver:
+              max_order: 8
+              {key}: {value}
+            """,
+        )
+        with pytest.raises(SpecFileError, match=f"{key} must be positive and finite") as e:
+            load_graph_spec(path)
+        assert str(e.value).startswith(f"{path}:6:")
+
+    def test_integer_too_large_for_a_float(self, tmp_path):
+        path = write(
+            tmp_path,
+            f"""\
+            kind: star
+            alpha: [1.0, 7.0, 11.0]
+            beta: [0.1, 0.2, 0.5]
+            solver:
+              k_max: 1{"0" * 400}
+            """,
+        )
+        with pytest.raises(SpecFileError, match="integer too large") as e:
+            load_graph_spec(path)
+        assert e.value.line == 5
+
     def test_bad_max_order(self, tmp_path):
         path = write(
             tmp_path,

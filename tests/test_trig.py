@@ -1,16 +1,20 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgspectra import trig
 from qgspectra import (
     NormalizeError,
     OrderCapError,
     Term,
     TrigSpectralFunction,
     build_ladder,
+    derivative_evaluator,
     derivative_level,
     eval_grid,
     evaluate,
@@ -140,10 +144,17 @@ class TestEvaluation:
         assert evaluate(f, k) == pytest.approx(expected, abs=1e-15)
 
     def test_grid_matches_pointwise(self):
+        # Against scalar math.cos, term by term: np.cos may differ from the
+        # C library in the last bit on some platforms.
         f = make_fn()
         xs = np.linspace(0.0, 30.0, 1500)
         grid = eval_grid(f, xs)
-        pointwise = np.array([evaluate(f, float(x)) for x in xs])
+        pointwise = []
+        for x in xs.tolist():
+            acc = math.cos(f.s0 * x - math.pi * f.gamma0)
+            for s, g, a in f.terms:
+                acc -= a * math.cos(s * x - math.pi * g)
+            pointwise.append(acc)
         assert np.allclose(grid, pointwise, rtol=0.0, atol=1e-13)
 
     def test_callable_dispatch(self):
@@ -151,6 +162,129 @@ class TestEvaluation:
         assert f(1.5) == evaluate(f, 1.5)
         xs = np.array([0.5, 1.5])
         assert np.array_equal(f(xs), eval_grid(f, xs))
+
+
+def reference_eval(f, ks):
+    """The per-term loop the blocked kernel replaced, kept as the reference.
+
+    The kernel folds the same products in the same order, so its values
+    must match these bit for bit.
+    """
+    ks = np.asarray(ks, dtype=float)
+    acc = np.cos(f.s0 * ks - math.pi * f.gamma0)
+    for s, g, a in f.terms:
+        acc = acc - a * np.cos(s * ks - math.pi * g)
+    return acc
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.tobytes() == expected.tobytes()
+
+
+def wide_fn(n_terms, seed=3):
+    rng = random.Random(seed)
+    terms = [(rng.uniform(0.0, 9.0), rng.uniform(0.0, 2.0), rng.uniform(-0.3, 0.3))
+             for _ in range(n_terms)]
+    return normalize(10.0, rng.uniform(0.0, 2.0), terms)
+
+
+# One function for each phase-matrix height T+1 = 1, 4 and 33.
+KERNEL_FNS = {
+    1: TrigSpectralFunction(3.0, 0.25),
+    4: make_fn(terms=((17.0, 0.0, 0.6), (5.0, 0.5, -0.3), (0.0, 0.25, 0.1))),
+    33: wide_fn(32),
+}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("ks", [
+        np.empty(0), np.empty((0, 4)), np.array(2.5), 2.5, [0.1, 7.0],
+        np.linspace(0.0, 40.0, 1001),
+    ])
+    def test_shapes_match_reference(self, ks):
+        for f in KERNEL_FNS.values():
+            assert_bitwise(eval_grid(f, ks), reference_eval(f, ks))
+
+    def test_probe_shape(self):
+        # The solver evaluates its interval probes as an (n, 4) array.
+        a = np.linspace(0.0, 50.0, 301)[:, None]
+        nodes = a + np.array([0.236, 0.472, 0.618, 0.854]) * 0.17
+        for f in KERNEL_FNS.values():
+            assert_bitwise(eval_grid(f, nodes), reference_eval(f, nodes))
+
+    @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
+    def test_block_boundaries(self, rows):
+        f = KERNEL_FNS[rows]
+        assert f.n_terms + 1 == rows
+        width = trig._BLOCK_ELEMENTS // rows
+        for n in (width - 1, width, width + 1, 2 * width + 1):
+            ks = np.linspace(0.0, 90.0, n)
+            assert_bitwise(eval_grid(f, ks), reference_eval(f, ks))
+
+    def test_derivative_levels_with_zero_amplitudes(self):
+        # A constant term (s = 0) dies at level 1 but stays in the term
+        # list with amplitude zero, of either sign.
+        f = normalize(6.0, 0.5, [(0.0, 0.0, 0.2), (0.0, 1.0, -0.1), (4.0, 0.25, -0.3)])
+        ks = np.linspace(0.0, 25.0, 777)
+        for m in range(4):
+            level = derivative_level(f, m)
+            if m:
+                assert [t.a for t in level.terms[-2:]] == [0.0, 0.0]
+            assert_bitwise(eval_grid(level, ks), reference_eval(level, ks))
+
+    def test_large_k(self):
+        ks = 1e7 + np.linspace(-3.0, 3.0, 4001)
+        for f in KERNEL_FNS.values():
+            for m in range(3):
+                level = derivative_level(f, m)
+                assert_bitwise(eval_grid(level, ks), reference_eval(level, ks))
+
+    def test_evaluate_is_the_grid_at_one_point(self):
+        f = KERNEL_FNS[33]
+        for k in (0.0, 0.3, 17.25, 1e7 + 0.5):
+            value = evaluate(f, k)
+            assert type(value) is float
+            assert value == reference_eval(f, k)
+
+    def test_blocks_bound_memory(self):
+        # A (T+1) x N phase matrix for 2e5 points and 33 terms is 53 MB;
+        # the blocked kernel holds only a few blocks of it at a time.
+        f = KERNEL_FNS[33]
+        ks = np.linspace(0.0, 1000.0, 200_000)
+        tracemalloc.start()
+        try:
+            eval_grid(f, ks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
+    def test_value_and_slope_are_the_ladder_bitwise(self, rows):
+        f = KERNEL_FNS[rows]
+        # Around the boundary of one stacked (2(T+1)) x B block.
+        width = trig._BLOCK_ELEMENTS // (2 * rows)
+        for n in (0, 1, width - 1, width, width + 1):
+            x = np.linspace(0.0, 60.0, n)
+            g, dg, d2g = derivative_evaluator(f)(x)
+            assert_bitwise(g, eval_grid(f, x))
+            assert_bitwise(dg, f.s0 * eval_grid(derivative_level(f, 1), x))
+            curvature = f.s0 ** 2 * eval_grid(derivative_level(f, 2), x)
+            scale = f.s0 ** 2 * (1.0 + regularity_sum(f))
+            assert np.allclose(d2g, curvature, rtol=0.0, atol=1e-13 * scale)
+
+    def test_second_derivative_matches_finite_differences(self):
+        f = KERNEL_FNS[4]
+        x = np.linspace(0.5, 9.5, 37)
+        h = 1e-4
+        _, _, d2g = derivative_evaluator(f)(x)
+        fd = (eval_grid(f, x + h) - 2.0 * eval_grid(f, x) + eval_grid(f, x - h)) / h**2
+        assert np.allclose(d2g, fd, rtol=0.0, atol=1e-5 * f.s0 ** 2)
 
 
 class TestDerivativeLadder:

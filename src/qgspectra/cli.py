@@ -33,6 +33,8 @@ from typing import Sequence
 
 from .oracle import compare, scan_roots, weyl_audit
 from .solver import (
+    INTERIOR,
+    SEPARATOR_COINCIDENCE,
     RefinementStall,
     SeparatorFailure,
     SolverConfig,
@@ -43,9 +45,6 @@ from .trig import OrderCapError, build_ladder, eval_grid, regularity_sum
 
 __all__ = ["main"]
 
-_DEFAULT_ROOT_TOL = 1e-12
-_DEFAULT_COINCIDENCE_TOL = 1e-10
-_DEFAULT_MAX_ORDER = 64
 _DEFAULT_COMPARE_TOL = 1e-9
 # Grid rows tabulated per evaluation call, so that memory stays flat on a
 # long grid.
@@ -115,12 +114,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _pick(flag, overrides: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in overrides:
-        return overrides[key]
-    return default
+def _settings(spec: LoadedSpec, **flags) -> dict:
+    """The file's ``solver`` block overlaid with the flags actually given;
+    a setting neither gives keeps the default of the function it goes to."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    return {**spec.solver_overrides, **given}
 
 
 def _resolve_config(spec: LoadedSpec, args, root_tol: float | None) -> SolverConfig:
@@ -129,17 +127,18 @@ def _resolve_config(spec: LoadedSpec, args, root_tol: float | None) -> SolverCon
     ``root_tol`` is passed separately because ``verify`` reads ``--tol`` as
     its comparison tolerance, not the root tolerance.
     """
-    ov = spec.solver_overrides
-    k_max = _pick(getattr(args, "kmax", None), ov, "k_max", None)
-    if k_max is None:
+    settings = _settings(spec, k_max=args.kmax, root_tol=root_tol,
+                         coincidence_tol=args.coincidence_tol, max_order=args.max_order)
+    if "k_max" not in settings:
         _fail_usage("no search window: pass --kmax or set solver.k_max in the file")
-    return SolverConfig(
-        k_max=k_max,
-        root_tol=_pick(root_tol, ov, "root_tol", _DEFAULT_ROOT_TOL),
-        coincidence_tol=_pick(args.coincidence_tol, ov, "coincidence_tol",
-                              _DEFAULT_COINCIDENCE_TOL),
-        max_order=_pick(args.max_order, ov, "max_order", _DEFAULT_MAX_ORDER),
-    )
+    return SolverConfig(**settings)
+
+
+def _ladder(spec: LoadedSpec, args):
+    """The ladder of the spec's function, capped by ``max_order`` if set."""
+    settings = _settings(spec, max_order=args.max_order)
+    cap = {"max_order": settings["max_order"]} if "max_order" in settings else {}
+    return build_ladder(spec.function, **cap)
 
 
 def _open_out(path: str | None):
@@ -152,11 +151,15 @@ def _cmd_solve(args) -> int:
     spec = load_graph_spec(args.graph)
     cfg = _resolve_config(spec, args, args.tol)
     solution = solve_ladder(spec.function, cfg)
+    spectrum = solution.spectrum
+    kinds = (INTERIOR, SEPARATOR_COINCIDENCE)
+    rows = zip(spectrum.ks.tolist(), spectrum.coincident.tolist())
+    csv = "".join(
+        f"{n},{_g17(k)},{_g17(k * k)},{kinds[c]}\n" for n, (k, c) in enumerate(rows, start=1)
+    )
     out, close = _open_out(args.out)
     try:
-        print("n,k,E,kind", file=out)
-        for e in solution.spectrum:
-            print(f"{e.n},{_g17(e.k)},{_g17(e.k * e.k)},{e.kind}", file=out)
+        out.write("n,k,E,kind\n" + csv)
     finally:
         if close:
             out.close()
@@ -169,10 +172,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    spec = load_graph_spec(args.graph)
-    max_order = _pick(args.max_order, spec.solver_overrides, "max_order",
-                      _DEFAULT_MAX_ORDER)
-    ladder = build_ladder(spec.function, max_order)
+    ladder = _ladder(load_graph_spec(args.graph), args)
     print(f"M = {ladder.order}")
     for m, level in enumerate(ladder.levels):
         print(f"level {m}: regularity sum = {_g17(regularity_sum(level))}")
@@ -228,14 +228,12 @@ def _grid_rows(kmin: float, kmax: float, step: float) -> int:
 
 def _cmd_eval(args) -> int:
     spec = load_graph_spec(args.graph)
-    max_order = _pick(args.max_order, spec.solver_overrides, "max_order",
-                      _DEFAULT_MAX_ORDER)
     if args.k:
         if not all(map(math.isfinite, args.k)):
             _fail_usage("evaluation points must be finite")
         blocks = [list(args.k)]
     else:
-        kmax = _pick(args.kmax, spec.solver_overrides, "k_max", None)
+        kmax = _settings(spec, k_max=args.kmax).get("k_max")
         if kmax is None or args.step is None:
             _fail_usage("eval needs --k points, or --kmax with --step")
         kmin, step = args.kmin, args.step
@@ -244,7 +242,7 @@ def _cmd_eval(args) -> int:
             [min(kmin + i * step, kmax) for i in range(start, min(start + _EVAL_ROWS, count))]
             for start in range(0, count, _EVAL_ROWS)
         )
-    ladder = build_ladder(spec.function, max_order)
+    ladder = _ladder(spec, args)
     out, close = _open_out(args.out)
     try:
         header = "k," + ",".join(f"g{m}" for m in range(ladder.order + 1))

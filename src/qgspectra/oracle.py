@@ -3,9 +3,9 @@
 Everything here treats the spectral function as a black box on a window:
 sample it on a fine grid, bisect every sign-change cell, and probe small-
 magnitude dips for tangent (double) roots via the sign of a central
-difference.  Every stage runs on arrays: all cells are bisected together,
-and all dips are screened, probed and split together, each element
-stopping on its own criterion.  No derivative ladder, no separator
+difference.  One batched bisection, each cell stopping on its own, finds
+the roots in the grid's sign-change cells, the extremum of each dip and
+the two roots of a dip that splits.  No derivative ladder, no separator
 structure, nothing imported from the solver; this is the reference
 implementation the fast solver is audited against, so it shares as little
 machinery with it as possible.
@@ -71,26 +71,46 @@ class WeylAudit:
         return self.deviation <= bound
 
 
-def _bisect_vec(
-    f: TrigSpectralFunction, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float
-) -> np.ndarray:
-    """Vectorized bisection on cells known to contain a sign change.
+def _bisect(fn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) -> np.ndarray:
+    """Per-element bisection of cells ``[lo, hi]`` on the sign of ``fn``.
 
-    ``flo`` carries the signs at ``lo``.  Iterates until every cell is
-    narrower than ``tol``; the number of steps is fixed by the widest cell.
+    ``flo`` holds ``fn`` at ``lo``, and each cell must hold a sign change.
+    A cell stops when it is at most ``tol`` wide (returning the midpoint),
+    when ``fn`` is exactly zero at a midpoint (returning that midpoint), or
+    after 200 halvings.  The width is the starting one halved exactly at
+    every step, so rounding in the midpoints never costs a step: a cell
+    that meets no exact zero takes ``ceil(log2(width / tol))`` of them.
+    Finished cells leave the batch, so only live ones are evaluated.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    width = float(np.max(hi - lo)) if lo.size else 0.0
-    steps = max(0, math.ceil(math.log2(width / tol))) if width > tol else 0
-    for _ in range(steps):
+    out = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    # Every live cell has been halved t times, so the narrowest one says
+    # whether any cell is done without a pass over the batch.
+    width = hi - lo
+    narrowest = float(width.min(initial=np.inf))
+    for t in range(200):
+        if narrowest <= tol:
+            done = np.ldexp(width, -t) <= tol
+            out[idx[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            idx, lo, hi, flo, width = idx[keep], lo[keep], hi[keep], flo[keep], width[keep]
+            narrowest = math.ldexp(width.min(initial=np.inf), -t)
+        if not idx.size:
+            return out
         mid = 0.5 * (lo + hi)
-        fmid = eval_grid(f, mid)
-        left = flo * fmid > 0.0
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fmid, flo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if not fmid.all():
+            hit = fmid == 0.0
+            out[idx[hit]] = mid[hit]
+            keep = ~hit
+            idx, lo, hi, flo, width = idx[keep], lo[keep], hi[keep], flo[keep], width[keep]
+            mid, fmid = mid[keep], fmid[keep]
+        # The sign change is in [lo, mid] or else in [mid, hi].
+        left = flo * fmid < 0.0
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fmid)
+        narrowest *= 0.5
+    out[idx] = 0.5 * (lo + hi)
+    return out
 
 
 def _slope(f: TrigSpectralFunction, x: np.ndarray, h: float) -> np.ndarray:
@@ -98,42 +118,12 @@ def _slope(f: TrigSpectralFunction, x: np.ndarray, h: float) -> np.ndarray:
     return eval_grid(f, x + h) - eval_grid(f, x - h)
 
 
-def _bisect_masked(
-    f: TrigSpectralFunction, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float
-) -> np.ndarray:
-    """Per-element bisection of sign-change cells, each stopping on its own.
-
-    An element stops when its cell is at most ``tol`` wide (returning the
-    midpoint), when a midpoint evaluates to exactly zero (returning that
-    midpoint), or after 200 halvings.  Only live elements are evaluated.
-    """
-    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
-    out = np.empty_like(lo)
-    live = np.arange(lo.size)
-    for _ in range(200):
-        narrow = hi[live] - lo[live] <= tol
-        out[live[narrow]] = 0.5 * (lo[live[narrow]] + hi[live[narrow]])
-        live = live[~narrow]
-        if not live.size:
-            return out
-        mid = 0.5 * (lo[live] + hi[live])
-        fmid = eval_grid(f, mid)
-        hit = fmid == 0.0
-        out[live[hit]] = mid[hit]
-        left = (flo[live] * fmid < 0.0) & ~hit
-        right = ~left & ~hit
-        hi[live[left]] = mid[left]
-        lo[live[right]] = mid[right]
-        flo[live[right]] = fmid[right]
-        live = live[~hit]
-    out[live] = 0.5 * (lo[live] + hi[live])
-    return out
-
-
 def _probe_dips(
     f: TrigSpectralFunction,
     lo: np.ndarray,
     hi: np.ndarray,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
     step: float,
     refine_tol: float,
     coincidence_tol: float,
@@ -141,10 +131,11 @@ def _probe_dips(
 ) -> list[float]:
     """Inspect small-|f| dips ``[lo, hi]`` for roots the grid signs missed.
 
-    Each dip's interior critical point is located by bisecting on the sign
-    of the central difference f(x+h)-f(x-h); a single extremum inside the
-    dip is assumed, which holds at dip width a few grid cells.  Dips whose
-    edge slopes share a sign hold no extremum and are dropped first.
+    ``f_lo`` and ``f_hi`` are the grid values at the dip ends.  Each dip's
+    interior critical point is located by bisecting on the sign of the
+    central difference f(x+h)-f(x-h); a single extremum inside the dip is
+    assumed, which holds at dip width a few grid cells.  Dips whose edge
+    slopes share a sign hold no extremum and are dropped first.
     Classification at the critical point x*:
 
     - |f(x*)| within the coincidence threshold: tangent root at x*.
@@ -157,36 +148,16 @@ def _probe_dips(
     """
     h = step / 32.0
     sa = _slope(f, lo, h)
-    sb = _slope(f, hi, h)
-    keep = ~(sa * sb > 0.0)
-    lo, hi, sa = lo[keep], hi[keep], sa[keep]
-    a, b = lo.copy(), hi.copy()
-    live = np.arange(a.size)
-    for _ in range(200):
-        live = live[~(b[live] - a[live] <= refine_tol)]
-        if not live.size:
-            break
-        m = 0.5 * (a[live] + b[live])
-        sm = _slope(f, m, h)
-        flat = sm == 0.0
-        a[live[flat]] = b[live[flat]] = m[flat]
-        below = (sa[live] * sm < 0.0) & ~flat
-        above = ~below & ~flat
-        b[live[below]] = m[below]
-        a[live[above]] = m[above]
-        sa[live[above]] = sm[above]
-        live = live[~flat]
-    x_star = 0.5 * (a + b)
+    keep = ~(sa * _slope(f, hi, h) > 0.0)
+    lo, hi, f_lo, f_hi = lo[keep], hi[keep], f_lo[keep], f_hi[keep]
+    x_star = _bisect(lambda x: _slope(f, x, h), lo, hi, sa[keep], refine_tol)
     f_star = eval_grid(f, x_star)
     tangent = np.abs(f_star) <= coincidence_tol * scale
-    rest = ~tangent
-    lo, hi, x_star_r, f_star = lo[rest], hi[rest], x_star[rest], f_star[rest]
-    f_lo, f_hi = eval_grid(f, lo), eval_grid(f, hi)
-    split = (f_star * f_lo < 0.0) & (f_star * f_hi < 0.0)
-    pairs = _bisect_masked(
-        f,
-        np.concatenate((lo[split], x_star_r[split])),
-        np.concatenate((x_star_r[split], hi[split])),
+    split = (f_star * f_lo < 0.0) & (f_star * f_hi < 0.0) & ~tangent
+    pairs = _bisect(
+        lambda x: eval_grid(f, x),
+        np.concatenate((lo[split], x_star[split])),
+        np.concatenate((x_star[split], hi[split])),
         np.concatenate((f_lo[split], f_star[split])),
         refine_tol,
     )
@@ -237,7 +208,9 @@ def scan_roots(
     # their product cannot underflow, and its sign is the product of signs.
     cross = (ys[:-1] * ys[1:] < 0.0) & ~zero_mask[:-1] & ~zero_mask[1:]
     idx = np.flatnonzero(cross)
-    crossing_roots = _bisect_vec(f, xs[idx], xs[idx + 1], ys[idx], refine_tol).tolist()
+    crossing_roots = _bisect(
+        lambda x: eval_grid(f, x), xs[idx], xs[idx + 1], ys[idx], refine_tol
+    ).tolist()
 
     # Dip probing: small |f| at a grid point with no sign change or exact
     # zero in the neighboring cells may hide a tangency.  Consecutive dip
@@ -248,10 +221,14 @@ def scan_roots(
     dip_idx = np.flatnonzero(dip)
     c_lo = dip_idx[np.diff(dip_idx, prepend=-2) != 1]
     c_hi = dip_idx[np.diff(dip_idx, append=xs.size + 1) != 1]
+    d_lo = np.maximum(c_lo - 1, 0)
+    d_hi = np.minimum(c_hi + 1, xs.size - 1)
     probe_roots = _probe_dips(
         f,
-        xs[np.maximum(c_lo - 1, 0)],
-        xs[np.minimum(c_hi + 1, xs.size - 1)],
+        xs[d_lo],
+        xs[d_hi],
+        ys[d_lo],
+        ys[d_hi],
         float(step),
         refine_tol,
         coincidence_tol,

@@ -8,15 +8,39 @@ below), and a root may legitimately coincide with a separator; that case is
 detected by a magnitude test before any interior search.  Descending level
 by level yields the complete spectrum of the original function.
 
+Why the regular level needs nothing beyond its separators: let
+``sigma = sum_j |a_j| < 1``, ``psi_j = (s_j - s0)*k - pi*(gamma_j - gamma0)``,
+``w_j = a_j*exp(i*psi_j)`` and ``Z = 1 - sum_j w_j``.  Then
+``g = |Z|*cos(theta)`` with ``theta = s0*k - pi*gamma0 + arg Z`` and
+``|Z| >= 1 - sigma > 0``, and differentiating gives
+``theta'/s0 = Re((1 - sum_j (1 - rho_j)*w_j) / Z)`` with
+``rho_j = (s0 - s_j)/s0`` in ``(0, 1]``.  That is affine in each
+``rho_j``, so its extremes lie at a vertex of the box: ``rho_j = 0`` on a
+set A of terms and ``rho_j = 1`` on the rest, B.  There it equals
+``Re(1/(1 - u))`` with ``u = W_B/(1 - W_A)`` and
+``|u| <= sigma_B/(1 - sigma_A) < 1``, which lies between
+``1/(1 + sigma)`` and ``1/(1 - sigma)``.  Hence
+
+    s0/(1 + sigma) <= theta' <= s0/(1 - sigma),
+
+so ``theta`` increases strictly, every root is simple and solves
+``theta = (n + 1/2)*pi``, each interval between consecutive separators
+holds exactly one root, and ``|g| >= 1 - sigma`` on the separators.
+
 Each level is solved in one batch.  A few interior probe points per
 interval guard against silently dropping a root pair: two sign changes
 inside one interval mean the separator structure is broken, which aborts
-with a diagnostic rather than returning a bad table.  The bracket around
-each single sign change is then refined by a vectorized safeguarded Halley
-iteration on the analytic derivatives: ``g_m' = s0 * g_{m+1}`` is the next
-level of the ladder, and ``g_m'' = s0**2 * g_{m+2}`` is level m shifted by
-half a turn, so it reads the same cosines as ``g_m``.  One phase matrix per
-iteration, stacking the phases of levels m and m+1, gives all three.
+with a diagnostic rather than returning a bad table.  At the regular
+level the bound above already rules that out; the probes stay only to
+catch an incomplete table of the level above, until an exact per-level
+zero count (by the argument principle) takes over that job.
+
+The bracket around each single sign change is then refined by a
+vectorized safeguarded Halley iteration on the analytic derivatives:
+``g_m' = s0 * g_{m+1}`` is the next level of the ladder, and
+``g_m'' = s0**2 * g_{m+2}`` is level m shifted by half a turn, so it reads
+the same cosines as ``g_m``.  One phase matrix per iteration, stacking the
+phases of levels m and m+1, gives all three.
 
 A level's roots are kept as a ``RootTable`` of two columns: the ascending
 roots ``ks`` (float64) and a bool mask ``coincident`` of those found on a

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qgspectra
-from qgspectra import build_ladder, eval_grid, load_graph_spec
+from qgspectra import SolverConfig, build_ladder, eval_grid, load_graph_spec, solve_ladder
 from qgspectra import cli
 from qgspectra.cli import main
 
@@ -72,6 +72,22 @@ class TestSolve:
         assert fields[0] == "18"
         assert abs(float(fields[1]) - math.pi) < 1e-10
         assert fields[3] == "separator-coincidence"
+
+    def test_csv_matches_root_entries(self, capsys):
+        # The CSV is formatted from the spectrum's columns in one pass; it
+        # must read exactly as rows built from the table's RootEntry rows.
+        kinds = set()
+        for name in ("star.yaml", "chain.yaml"):
+            spec = load_graph_spec(str(SPECS_DIR / name))
+            table = solve_ladder(spec.function, SolverConfig(k_max=40.0)).spectrum
+            expected = "n,k,E,kind\n" + "".join(
+                f"{e.n},{e.k:.17g},{e.k * e.k:.17g},{e.kind}\n" for e in table
+            )
+            rc, out, _ = run(capsys, ["solve", "--graph", str(SPECS_DIR / name), "--kmax", "40"])
+            assert rc == 0
+            assert out == expected, name
+            kinds.update(e.kind for e in table)
+        assert kinds == {"interior", "separator-coincidence"}
 
     def test_reruns_byte_identical(self, capsys, star_file):
         _, first, _ = run(capsys, ["solve", "--graph", star_file, "--kmax", "6"])

@@ -45,18 +45,20 @@ def reference_scan(f, window, scan_step=None, refine_tol=1e-12, coincidence_tol=
     def slope(x):
         return g(x + h) - g(x - h)
 
-    def root_bisect(a, b, fa):
+    def root_bisect(fn, a, b, fa):
+        width = b - a
         for _ in range(200):
-            if b - a <= refine_tol:
+            if width <= refine_tol:
                 break
             m = 0.5 * (a + b)
-            fm = g(m)
+            fm = fn(m)
             if fm == 0.0:
                 return m
             if fa * fm < 0.0:
                 b = m
             else:
                 a, fa = m, fm
+            width *= 0.5
         return 0.5 * (a + b)
 
     roots = []
@@ -72,19 +74,8 @@ def reference_scan(f, window, scan_step=None, refine_tol=1e-12, coincidence_tol=
 
     cells = [i for i in range(len(xs) - 1)
              if not (zero[i] or zero[i + 1]) and np.sign(ys[i]) * np.sign(ys[i + 1]) < 0.0]
-    if cells:
-        width = max(float(xs[i + 1] - xs[i]) for i in cells)
-        steps = max(0, math.ceil(math.log2(width / refine_tol))) if width > refine_tol else 0
-        for i in cells:
-            a, b, fa = float(xs[i]), float(xs[i + 1]), float(ys[i])
-            for _ in range(steps):
-                m = 0.5 * (a + b)
-                fm = g(m)
-                if fa * fm > 0.0:
-                    a, fa = m, fm
-                else:
-                    b = m
-            roots.append(0.5 * (a + b))
+    for i in cells:
+        roots.append(root_bisect(g, float(xs[i]), float(xs[i + 1]), float(ys[i])))
 
     near = set(cells) | {i + 1 for i in cells}
     clusters = []
@@ -96,28 +87,15 @@ def reference_scan(f, window, scan_step=None, refine_tol=1e-12, coincidence_tol=
                 clusters.append([t, t])
     for c_lo, c_hi in clusters:
         a0, b0 = float(xs[max(0, c_lo - 1)]), float(xs[min(len(xs) - 1, c_hi + 1)])
-        a, b = a0, b0
-        sa = slope(a)
-        if sa * slope(b) > 0.0:
+        sa = slope(a0)
+        if sa * slope(b0) > 0.0:
             continue
-        for _ in range(200):
-            if b - a <= refine_tol:
-                break
-            m = 0.5 * (a + b)
-            sm = slope(m)
-            if sm == 0.0:
-                a = b = m
-                break
-            if sa * sm < 0.0:
-                b = m
-            else:
-                a, sa = m, sm
-        x = 0.5 * (a + b)
+        x = root_bisect(slope, a0, b0, sa)
         fx = g(x)
         if abs(fx) <= coincidence_tol * scale:
             roots.append(x)
         elif fx * g(a0) < 0.0 and fx * g(b0) < 0.0:
-            roots += [root_bisect(a0, x, g(a0)), root_bisect(x, b0, fx)]
+            roots += [root_bisect(g, a0, x, g(a0)), root_bisect(g, x, b0, fx)]
 
     out = []
     for r in sorted(roots):
@@ -181,7 +159,7 @@ class TestScanRoots:
         assert len(roots) == 1
         assert abs(roots[0] - 2.0 * math.pi) < step
 
-    def test_matches_reference_scan_bitwise(self, worked_star, worked_chain):
+    def test_matches_reference_scan_bitwise(self, worked_star, worked_chain, case_suite):
         rng = random.Random(11)
         cases = [
             (worked_star, (0.0, 12.0), {}),
@@ -193,6 +171,10 @@ class TestScanRoots:
              (2.0 * math.pi - 4e-7, 2.0 * math.pi + 4e-7), {"scan_step": 1e-7}),
         ]
         cases += [(random_star(rng), (0.0, 6.0), {"refine_tol": 1e-10}) for _ in range(3)]
+        # Here the halved cells come within rounding of refine_tol, so a
+        # width taken as hi - lo, not halved exactly, stops some of them
+        # one step off.
+        cases += [(dict(case_suite)["chain-10"], (0.0, 10.0), {})]
         for f, window, kw in cases:
             assert scan_roots(f, window, **kw) == reference_scan(f, window, **kw)
 
@@ -218,6 +200,32 @@ class TestScanRoots:
         roots, _ = scan_roots(worked_chain, (0.0, kmax))
         assert len(roots) == len(sol.spectrum)
         assert roots == pytest.approx(sol.spectrum.ks, abs=1e-10)
+
+
+class TestBisect:
+    def test_exact_zero_at_a_midpoint_is_returned(self):
+        out = qgspectra.oracle._bisect(
+            lambda x: x - 0.5, np.array([0.0]), np.array([1.0]), np.array([-0.5]), 1e-12
+        )
+        assert out.tolist() == [0.5]
+
+    def test_each_cell_stops_on_its_own(self):
+        lo = np.array([0.0, 2.0, 5.0])
+        hi = np.array([1.0, 2.0 + 1e-6, 5.0 + 1e-10])
+        roots = np.array([0.3, 2.0 + 1e-7, 5.0 + 1.7e-11])
+        batches = []
+
+        def fn(x):
+            batches.append(x.size)
+            return x - roots[np.searchsorted(lo, x) - 1]
+
+        tol = 1e-12
+        out = qgspectra.oracle._bisect(fn, lo, hi, lo - roots, tol)
+        assert np.all(np.abs(out - roots) <= tol)
+        # The narrowest cell leaves the batch first and the widest last.
+        assert batches[0] == 3 and batches[-1] == 1
+        assert sorted(batches, reverse=True) == batches
+        assert len(batches) == math.ceil(math.log2(1.0 / tol))
 
 
 def test_oracle_does_not_import_the_solver():

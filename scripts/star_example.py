@@ -3,7 +3,7 @@
 
 Builds the network's spectral function, shows the derivative ladder that
 regularizes it, solves for every root in a window, and cross-checks the
-result against the dense-scan oracle and the counting law.  The double
+result against the independent oracle and the counting law.  The double
 root at k = pi (a root sitting exactly on a separator) is pointed out
 along the way.
 """
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     roots, step = scan_roots(f, (0.0, args.kmax))
     report = compare(spectrum.ks, roots, tol=1e-9, scan_step=step)
     audit = weyl_audit(spectrum, f.s0, (0.0, args.kmax))
-    print(f"\ndense scan: {len(roots)} roots at step {step:.6g} -> "
+    print(f"\noracle scan: {len(roots)} roots, cells from width {step:.6g} -> "
           f"{report.verdict}, max deviation {report.max_deviation:.3e}")
     print(f"counting law: expected {audit.expected:.3f}, counted "
           f"{audit.actual} (doubles weighted twice), "

@@ -5,7 +5,7 @@ secular equation a finite sum of cosines in the momentum k; eigenvalues
 are the squares of its positive roots.  This package canonicalizes such
 sums, regularizes them through a ladder of derivatives until the leading
 cosine dominates, and then extracts every root with certified one-root
-brackets.  A dense-scan oracle and a counting-law audit cross-check the
+brackets.  An independent scan and a counting-law audit cross-check the
 fast path.
 """
 

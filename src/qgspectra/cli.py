@@ -11,7 +11,7 @@ Four commands, all reading a graph description file (``--graph``):
     Report the regularization order M and the per-level amplitude sums.
 
 ``verify``
-    Re-derive the spectrum with the dense-scan oracle and compare, then
+    Re-derive the spectrum with the independent oracle and compare, then
     audit the root count against the counting law.  Exit 3 on mismatch.
 
 ``eval``
@@ -70,14 +70,14 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p: _Parser, kmax: bool = True) -> None:
+    def common(p: _Parser, kmax: bool = True,
+               tol_help: str = "root tolerance (default 1e-12)") -> None:
         p.add_argument("--graph", required=True, metavar="FILE",
                        help="graph description file (YAML)")
         if kmax:
             p.add_argument("--kmax", type=float, default=None,
                            help="upper end of the search window (0, kmax]")
-        p.add_argument("--tol", type=float, default=None,
-                       help="root tolerance (default 1e-12)")
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--coincidence-tol", type=float, default=None,
                        help="separator-coincidence threshold (default 1e-10)")
         p.add_argument("--max-order", type=int, default=None,
@@ -94,9 +94,9 @@ def _build_parser() -> _Parser:
     p_order.set_defaults(func=_cmd_order)
 
     p_verify = sub.add_parser(
-        "verify", help="cross-check the solver against a dense scan"
+        "verify", help="cross-check the solver against an independent scan"
     )
-    common(p_verify)
+    common(p_verify, tol_help=f"comparison tolerance (default {_DEFAULT_COMPARE_TOL:g})")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_eval = sub.add_parser("eval", help="tabulate the ladder on a k grid")

@@ -1,14 +1,46 @@
-"""Dense-scan root finding and cross-checks, independent of the ladder.
+"""Root finding by derivative-bound cells, and cross-checks; independent of the ladder.
 
-Everything here treats the spectral function as a black box on a window:
-sample it on a fine grid, bisect every sign-change cell, and probe small-
-magnitude dips for tangent (double) roots via the sign of a central
-difference.  One batched bisection, each cell stopping on its own, finds
-the roots in the grid's sign-change cells, the extremum of each dip and
-the two roots of a dip that splits.  No derivative ladder, no separator
-structure, nothing imported from the solver; this is the reference
-implementation the fast solver is audited against, so it shares as little
-machinery with it as possible.
+``scan_roots`` cuts the window into cells of width ``pi/(4*s0)`` and reads
+``g``, ``g'`` and ``g''`` at each cell end from one cosine matrix.  Every
+derivative of ``g(x) = sum_i +-a_i cos(s_i x - pi gamma_i)`` is bounded by
+``B_p = sum_i |a_i| s_i**p`` (leading term included).  The computed p-th
+derivative is within
+
+    err_p(x) = u * sum_i |a_i| s_i**p * (s_i |x| + pi(|gamma_i| + 1) + T + 3)
+
+of the true one, ``u`` being the unit roundoff: each phase is off by about
+an ulp of each of its parts, the cosine and the amplitude product by an
+ulp each, and the fold over the ``T + 1`` terms by ``T`` more (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 3).  A cell of
+width ``w`` is then, checking in this order:
+
+- **root-free** when ``|g| > |g'| w + B2 w**2/2 + err_0`` at either end
+  (Taylor's bound keeps ``g`` away from zero across the cell);
+- **monotone** when ``max |g'| > B2 w + err_1``: it holds one root,
+  bisected, exactly when ``g`` changes sign;
+- **one extremum** when ``max |g''| > B3 w + err_2``: if ``g'`` changes
+  sign, bisecting on ``g'`` finds the extremum ``x*``, which is a tangent
+  (double) root when ``|g(x*)|`` is within both ``err_0`` and
+  ``coincidence_tol * (1 + sum|a|)``; otherwise each side whose end value
+  differs in sign from ``g(x*)`` holds one simple root.  Without a sign
+  change of ``g'`` the cell is monotone;
+- otherwise halved, down to the floor ``B2 w**2/2 <= err_0``, where a
+  cell gives a root only on a sign change of ``g``.
+
+An exact zero of ``g`` at a cell's right end is a root; the left end
+belongs to the cell before, or to the excluded window start.  One
+batched bisection, each cell stopping on its own, refines every root and
+extremum.
+
+The floor rule has a blind spot: a tangency where ``g''`` is also within
+rounding of zero reaches the floor, and unless ``g`` changes sign there
+it is missed.  More generally, where ``|g|`` stays within ``err_0`` over
+a stretch, as around a triple root, the computed signs are rounding
+noise and each sign flip counts as a root.
+
+No derivative ladder, no separator structure, nothing imported from the
+solver; this is the reference implementation the fast solver is audited
+against, so it shares as little machinery with it as possible.
 
 The Weyl audit checks the root count against the leading-order expectation
 ``s0 * k / pi``; for a regular function the deviation is bounded by the
@@ -23,7 +55,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import TrigSpectralFunction, eval_grid, regularity_sum
+from .trig import (
+    TrigSpectralFunction,
+    derivative_evaluator,
+    derivative_level,
+    eval_grid,
+    regularity_sum,
+)
 
 __all__ = [
     "OracleReport",
@@ -33,14 +71,8 @@ __all__ = [
     "weyl_audit",
 ]
 
-# Grid values below this (scaled) floor are exact zeros for sign purposes;
-# cosine sums evaluated at machine-representable multiples of pi can land
-# within a few ulps of zero without crossing.
-_ZERO_FLOOR = 1e-13
-
-# |f| below this fraction of the scale at a grid point flags a dip worth
-# probing for a tangency even without a sign change nearby.
-_DIP_FRACTION = 0.05
+# Unit roundoff of binary64.
+_U = 2.0 ** -53
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +106,7 @@ class WeylAudit:
 def _bisect(fn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) -> np.ndarray:
     """Per-element bisection of cells ``[lo, hi]`` on the sign of ``fn``.
 
-    ``flo`` holds ``fn`` at ``lo``, and each cell must hold a sign change.
+    ``flo`` has the sign of ``fn`` at ``lo``; each cell holds a sign change.
     A cell stops when it is at most ``tol`` wide (returning the midpoint),
     when ``fn`` is exactly zero at a midpoint (returning that midpoint), or
     after 200 halvings.  The width is the starting one halved exactly at
@@ -113,135 +145,95 @@ def _bisect(fn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) -> 
     return out
 
 
-def _slope(f: TrigSpectralFunction, x: np.ndarray, h: float) -> np.ndarray:
-    """Central difference ``f(x+h) - f(x-h)``, unscaled: only its sign is used."""
-    return eval_grid(f, x + h) - eval_grid(f, x - h)
+def _bounds(f: TrigSpectralFunction) -> tuple[list[float], list[float]]:
+    """``B_p = sum_i |a_i| s_i**p`` and ``C_p`` for p = 0..3.
 
-
-def _probe_dips(
-    f: TrigSpectralFunction,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    f_lo: np.ndarray,
-    f_hi: np.ndarray,
-    step: float,
-    refine_tol: float,
-    coincidence_tol: float,
-    scale: float,
-) -> list[float]:
-    """Inspect small-|f| dips ``[lo, hi]`` for roots the grid signs missed.
-
-    ``f_lo`` and ``f_hi`` are the grid values at the dip ends.  Each dip's
-    interior critical point is located by bisecting on the sign of the
-    central difference f(x+h)-f(x-h); a single extremum inside the dip is
-    assumed, which holds at dip width a few grid cells.  Dips whose edge
-    slopes share a sign hold no extremum and are dropped first.
-    Classification at the critical point x*:
-
-    - |f(x*)| within the coincidence threshold: tangent root at x*.
-    - f(x*) opposite in sign to the dip edges: two simple roots straddle
-      x*, found by bisection on each side.
-    - otherwise: the dip does not reach zero; nothing to report.
-
-    All dips advance together; each element sees the same operations, in
-    the same order, as it would if probed alone.
+    Both run over every term, the leading one included.  The rounding
+    bound of the computed p-th derivative at ``x`` is
+    ``u * (B_{p+1} |x| + C_p)``, with
+    ``C_p = sum_i |a_i| s_i**p (pi(|gamma_i| + 1) + T + 3)``.
     """
-    h = step / 32.0
-    sa = _slope(f, lo, h)
-    keep = ~(sa * _slope(f, hi, h) > 0.0)
-    lo, hi, f_lo, f_hi = lo[keep], hi[keep], f_lo[keep], f_hi[keep]
-    x_star = _bisect(lambda x: _slope(f, x, h), lo, hi, sa[keep], refine_tol)
-    f_star = eval_grid(f, x_star)
-    tangent = np.abs(f_star) <= coincidence_tol * scale
-    split = (f_star * f_lo < 0.0) & (f_star * f_hi < 0.0) & ~tangent
-    pairs = _bisect(
-        lambda x: eval_grid(f, x),
-        np.concatenate((lo[split], x_star[split])),
-        np.concatenate((x_star[split], hi[split])),
-        np.concatenate((f_lo[split], f_star[split])),
-        refine_tol,
-    )
-    return x_star[tangent].tolist() + pairs.tolist()
+    rows = [(f.s0, f.gamma0, 1.0)] + [tuple(t) for t in f.terms]
+    span = f.n_terms + 3
+    weights = [abs(a) for _, _, a in rows]
+    b, c = [], []
+    for _ in range(4):
+        b.append(math.fsum(weights))
+        c.append(math.fsum(w * (math.pi * (abs(g) + 1.0) + span)
+                           for w, (_, g, _) in zip(weights, rows)))
+        weights = [w * s for w, (s, _, _) in zip(weights, rows)]
+    return b, c
 
 
 def scan_roots(
     f: TrigSpectralFunction,
     window: tuple[float, float],
-    scan_step: float | None = None,
     refine_tol: float = 1e-12,
     coincidence_tol: float = 1e-10,
 ) -> tuple[list[float], float]:
-    """All roots of ``f`` in ``(lo, hi]`` by dense grid scan.
+    """All roots of ``f`` in ``(lo, hi]`` by derivative-bound cells.
 
-    Tangent roots are counted once.  Returns the roots and the grid step
-    actually used (default: a fortieth of the shortest oscillation
-    half-period, pi/(40*s0)).
+    Tangent roots are counted once.  Returns the roots and the starting
+    cell width, ``pi/(4*s0)``; see the module docstring for the rules.
     """
     lo, hi = window
-    if not (0.0 <= lo < hi):
+    if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"bad window ({lo}, {hi})")
-    if scan_step is None:
-        scan_step = math.pi / (40.0 * f.s0)
-    elif not scan_step <= math.pi / (4.0 * f.s0):
-        # The leading cosine must be oversampled well past Nyquist or the
-        # sign pattern on the grid is meaningless.
-        raise ValueError(
-            f"scan_step {scan_step} too coarse: need at most pi/(4*s0) = "
-            f"{math.pi / (4.0 * f.s0)}"
-        )
-    n_cells = max(1, math.ceil((hi - lo) / scan_step))
-    xs = np.linspace(lo, hi, n_cells + 1)
-    step = xs[1] - xs[0]
-    ys = eval_grid(f, xs)
+    step = math.pi / (4.0 * f.s0)
+    b, c = _bounds(f)
+
+    def err(p: int, x: np.ndarray) -> np.ndarray:
+        return _U * (b[p + 1] * x + c[p])
+
+    values = derivative_evaluator(f)
+    xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)
+    v = np.stack(values(xs))
+    xl, xr, vl, vr = xs[:-1], xs[1:], v[:, :-1], v[:, 1:]
+    settled = []
+    while xl.size:
+        w = xr - xl
+        e0 = err(0, xr)
+        curv = 0.5 * b[2] * w * w
+        free = ((np.abs(vl[0]) > np.abs(vl[1]) * w + curv + e0)
+                | (np.abs(vr[0]) > np.abs(vr[1]) * w + curv + e0))
+        mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + err(1, xr)
+        ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + err(2, xr)
+        done = ~free & (mono | ext | (curv <= e0))
+        # A cell with one extremum turns where g' changes sign; one where
+        # it does not is monotone.
+        turn = ext & ~mono & (vl[1] * vr[1] < 0.0)
+        settled.append((xl[done], xr[done], vl[:, done], vr[:, done], turn[done]))
+        split = ~free & ~done
+        xm = 0.5 * (xl[split] + xr[split])
+        vm = np.stack(values(xm))
+        xl, xr = np.concatenate((xl[split], xm)), np.concatenate((xm, xr[split]))
+        vl = np.concatenate((vl[:, split], vm), axis=1)
+        vr = np.concatenate((vm, vr[:, split]), axis=1)
+    xl, xr, vl, vr, turn = (np.concatenate(parts, axis=-1) for parts in zip(*settled))
+
+    # g' = s0 * level 1, so bisecting on level 1 finds the extremum.
+    level1 = derivative_level(f, 1)
+    x_star = _bisect(lambda x: eval_grid(level1, x), xl[turn], xr[turn], vl[1, turn], refine_tol)
+    g_star = eval_grid(f, x_star)
     scale = 1.0 + regularity_sum(f)
-
-    # Exact zeros on the grid: collapse runs of consecutive near-zero
-    # samples to their minimum-|y| representative, the first on ties.
-    zero_mask = np.abs(ys) <= _ZERO_FLOOR * scale
-    zero_idx = np.flatnonzero(zero_mask)
-    run_start = np.diff(zero_idx, prepend=-2) != 1
-    # Stable sort by run, then |y|: each run's first entry is its argmin.
-    by_run = np.lexsort((np.abs(ys[zero_idx]), np.cumsum(run_start)))
-    grid_roots = xs[zero_idx[by_run[np.flatnonzero(run_start)]]].tolist()
-
-    # Neither endpoint is an exact zero, so both lie above the zero floor,
-    # their product cannot underflow, and its sign is the product of signs.
-    cross = (ys[:-1] * ys[1:] < 0.0) & ~zero_mask[:-1] & ~zero_mask[1:]
-    idx = np.flatnonzero(cross)
-    crossing_roots = _bisect(
-        lambda x: eval_grid(f, x), xs[idx], xs[idx + 1], ys[idx], refine_tol
-    ).tolist()
-
-    # Dip probing: small |f| at a grid point with no sign change or exact
-    # zero in the neighboring cells may hide a tangency.  Consecutive dip
-    # points form one cluster, probed between its outer neighbors.
-    dip = (np.abs(ys) < _DIP_FRACTION * scale) & ~zero_mask
-    dip[idx] = False
-    dip[idx + 1] = False
-    dip_idx = np.flatnonzero(dip)
-    c_lo = dip_idx[np.diff(dip_idx, prepend=-2) != 1]
-    c_hi = dip_idx[np.diff(dip_idx, append=xs.size + 1) != 1]
-    d_lo = np.maximum(c_lo - 1, 0)
-    d_hi = np.minimum(c_hi + 1, xs.size - 1)
-    probe_roots = _probe_dips(
-        f,
-        xs[d_lo],
-        xs[d_hi],
-        ys[d_lo],
-        ys[d_hi],
-        float(step),
+    tangent = (np.abs(g_star) <= err(0, x_star)) & (np.abs(g_star) <= coincidence_tol * scale)
+    left = ~tangent & (vl[0, turn] * g_star < 0.0)
+    right = ~tangent & (vr[0, turn] * g_star < 0.0)
+    cross = ~turn & (vl[0] * vr[0] < 0.0)
+    bisected = _bisect(
+        lambda x: eval_grid(f, x),
+        np.concatenate((xl[cross], xl[turn][left], x_star[right])),
+        np.concatenate((xr[cross], x_star[left], xr[turn][right])),
+        np.concatenate((vl[0, cross], vl[0, turn][left], g_star[right])),
         refine_tol,
-        coincidence_tol,
-        scale,
     )
-
-    roots = sorted(grid_roots + crossing_roots + probe_roots)
+    roots = sorted(x_star[tangent].tolist() + bisected.tolist() + xr[vr[0] == 0.0].tolist())
     roots = [r for r in roots if r > lo + refine_tol]
     deduped: list[float] = []
     for r in roots:
         if not deduped or r - deduped[-1] > 4.0 * refine_tol:
             deduped.append(r)
-    return deduped, float(step)
+    return deduped, step
 
 
 def compare(

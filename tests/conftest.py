@@ -8,6 +8,7 @@ from qgspectra import (
     StarGraphSpec,
     build_chain,
     build_star,
+    normalize,
     random_chain,
     random_star,
 )
@@ -36,6 +37,14 @@ def worked_star():
 @pytest.fixture(scope="session")
 def worked_chain():
     return build_chain(ChainGraphSpec(WORKED_CHAIN_ACTIONS, WORKED_CHAIN_BETA))
+
+
+@pytest.fixture(scope="session")
+def shifted_star(worked_star):
+    """The worked star minus a constant ``eps``: ``g(pi)`` moves to ``-eps``."""
+    return lambda eps: normalize(
+        worked_star.s0, worked_star.gamma0, list(worked_star.terms) + [(0.0, 0.0, eps)]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from qgspectra import cli
 from qgspectra.cli import main
 
 SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 STAR_YAML = """\
 kind: star
@@ -152,6 +153,13 @@ class TestVerify:
         assert rc == 3
         assert "comparison: pass" in out  # scan and solver still agree
         assert "verdict: fail" in out
+
+    def test_sunk_tangency_is_a_count_mismatch(self, capsys):
+        # Two simple roots 7.7e-7 apart at pi, which the solver reports as
+        # one double root and the scan does not.
+        rc, out, _ = run(capsys, ["verify", "--graph", str(DATA_DIR / "star_sunk_tangency.yaml")])
+        assert rc == 3
+        assert "count mismatch" in out
 
 
 class TestEval:
@@ -308,6 +316,15 @@ class TestFailureModes:
         rc, out, _ = run(capsys, ["--help"])
         assert rc == 0
         assert "solve" in out and "verify" in out
+
+    @pytest.mark.parametrize("command, text", [
+        ("solve", "root tolerance (default 1e-12)"),
+        ("verify", "comparison tolerance (default 1e-09)"),
+    ])
+    def test_tol_help_per_command(self, capsys, command, text):
+        rc, out, _ = run(capsys, [command, "--help"])
+        assert rc == 0
+        assert text in " ".join(out.split())
 
 
 def test_import_does_not_load_scipy():

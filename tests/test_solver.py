@@ -280,11 +280,6 @@ class TestDescend:
         assert near_pi[0].kind == SEPARATOR_COINCIDENCE
 
 
-def shifted_star(star, eps):
-    """The worked star minus a constant ``eps``: ``g(pi)`` moves to ``-eps``."""
-    return normalize(star.s0, star.gamma0, list(star.terms) + [(0.0, 0.0, eps)])
-
-
 class TestNearZeroDecisions:
     """Known defects of the bare magnitude threshold, pinned until it is certified.
 
@@ -295,21 +290,21 @@ class TestNearZeroDecisions:
 
     @pytest.mark.xfail(strict=True, reason="a near-tangency below the threshold is "
                        "reported as one double root")
-    def test_sunk_tangency_gives_two_simple_roots(self, worked_star):
+    def test_sunk_tangency_gives_two_simple_roots(self, shifted_star):
         # g(pi) = -1e-11: two simple roots straddle pi, about 8e-7 apart.
-        table = solve_ladder(shifted_star(worked_star, 1e-11), SolverConfig(k_max=4.0)).spectrum
+        table = solve_ladder(shifted_star(1e-11), SolverConfig(k_max=4.0)).spectrum
         assert np.sum(np.abs(table.ks - math.pi) < 1e-3) == 2
         assert not table.coincident.any()
 
     @pytest.mark.xfail(strict=True, reason="a dip that stays above zero is reported "
                        "as a double root")
-    def test_lifted_tangency_gives_no_root(self, worked_star):
+    def test_lifted_tangency_gives_no_root(self, shifted_star):
         # g(pi) = +1e-11 at the bottom of a dip: no real root near pi.
-        table = solve_ladder(shifted_star(worked_star, -1e-11), SolverConfig(k_max=4.0)).spectrum
+        table = solve_ladder(shifted_star(-1e-11), SolverConfig(k_max=4.0)).spectrum
         assert not np.any(np.abs(table.ks - math.pi) < 1e-3)
 
     @pytest.mark.xfail(strict=True, reason="the lower-edge test drops a root near k = 0")
-    def test_root_near_the_origin_is_kept(self, worked_star):
+    def test_root_near_the_origin_is_kept(self, shifted_star):
         # g(0) = +1e-11 and g falls off as k**2, crossing zero at 3.86e-7.
-        table = solve_ladder(shifted_star(worked_star, -1e-11), SolverConfig(k_max=4.0)).spectrum
+        table = solve_ladder(shifted_star(-1e-11), SolverConfig(k_max=4.0)).spectrum
         assert table.ks[0] == pytest.approx(3.86e-7, rel=1e-2)

@@ -70,21 +70,21 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p: _Parser, kmax: bool = True,
-               tol_help: str = "root tolerance (default 1e-12)") -> None:
+    def common(p: _Parser, kmax: bool = True, tol_help: str | None = None) -> None:
         p.add_argument("--graph", required=True, metavar="FILE",
                        help="graph description file (YAML)")
         if kmax:
             p.add_argument("--kmax", type=float, default=None,
                            help="upper end of the search window (0, kmax]")
-        p.add_argument("--tol", type=float, default=None, help=tol_help)
-        p.add_argument("--coincidence-tol", type=float, default=None,
-                       help="separator-coincidence threshold (default 1e-10)")
+        if tol_help:
+            p.add_argument("--tol", type=float, default=None, help=tol_help)
+            p.add_argument("--coincidence-tol", type=float, default=None,
+                           help="separator-coincidence threshold (default 1e-10)")
         p.add_argument("--max-order", type=int, default=None,
                        help="ladder order cap (default 64)")
 
     p_solve = sub.add_parser("solve", help="compute the spectrum as CSV")
-    common(p_solve)
+    common(p_solve, tol_help="root tolerance (default 1e-12)")
     p_solve.add_argument("--out", metavar="FILE", default=None,
                          help="write CSV here instead of stdout")
     p_solve.set_defaults(func=_cmd_solve)

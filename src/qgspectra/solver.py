@@ -27,13 +27,19 @@ so ``theta`` increases strictly, every root is simple and solves
 ``theta = (n + 1/2)*pi``, each interval between consecutive separators
 holds exactly one root, and ``|g| >= 1 - sigma`` on the separators.
 
-Each level is solved in one batch.  A few interior probe points per
-interval guard against silently dropping a root pair: two sign changes
-inside one interval mean the separator structure is broken, which aborts
-with a diagnostic rather than returning a bad table.  At the regular
-level the bound above already rules that out; the probes stay only to
-catch an incomplete table of the level above, until an exact per-level
-zero count (by the argument principle) takes over that job.
+Each level is solved in one batch and evaluated only at its boundaries;
+every interval whose end values differ in sign is one bracket.  Two
+checks on those values refuse an incomplete table of the level above
+with ``SeparatorFailure``.  (a) Rolle parity, on every descent: level m
+is monotone between roots of level m+1, so ``sign(g_m(b) - g_m(a))``
+flips across each simple upper root and repeats across a coincident one;
+differences within the coincidence threshold are not read, and the parity
+is carried across them.  (b) When
+level m+1 is regular, the bound above fixes its root count: the separator
+index at or below each window end, plus one where ``g_{m+1}`` there is
+within the threshold or has the sign opposite to the separator's
+``(-1)**n``.  A table missing an even number of roots below the regular
+level passes both; catching that needs an exact per-level zero count.
 
 The bracket around each single sign change is then refined by a
 vectorized safeguarded Halley iteration on the analytic derivatives:
@@ -54,7 +60,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -63,6 +69,7 @@ from .trig import (
     TrigSpectralFunction,
     build_ladder,
     derivative_evaluator,
+    derivative_level,
     eval_grid,
     is_regular,
     regularity_sum,
@@ -85,16 +92,6 @@ __all__ = [
 INTERIOR = "interior"
 SEPARATOR_COINCIDENCE = "separator-coincidence"
 
-# Interval probe offsets: fractional parts of n*(sqrt(5)-1)/2, so probes
-# never land on rational subdivisions where the roots of integer-action
-# functions like to sit.
-_PROBE_OFFSETS = np.array([
-    0.2360679774997898,
-    0.4721359549995796,
-    0.6180339887498949,
-    0.8541019662496847,
-])
-
 _MAX_ITER = 100
 # Relative part of the refinement stopping rule, as in Brent's method: at
 # large k the step noise of a double-precision root exceeds root_tol alone.
@@ -106,12 +103,16 @@ class RefinementStall(RuntimeError):
 
 
 class SeparatorFailure(RuntimeError):
-    """More than one root detected between consecutive separators."""
+    """The roots of level ``level + 1`` fail check (a) or (b) on ``interval``;
+    ``values`` is the ``g`` that check read at its ends."""
 
-    def __init__(self, message: str, interval: tuple[float, float], level: int | None = None):
-        super().__init__(message)
+    def __init__(self, detail: str, interval: tuple[float, float], level: int,
+                 values: tuple[float, float]):
+        super().__init__(f"separator failure at level {level} on {interval}: {detail}; "
+                         f"g = {values[0]!r}, {values[1]!r} at the ends")
         self.interval = interval
         self.level = level
+        self.values = values
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,62 +274,46 @@ def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.nd
     raise RefinementStall(f"refinement stall on [{lo[0]}, {hi[0]}] after {_MAX_ITER} iterations")
 
 
-def _sweep(
-    f: TrigSpectralFunction,
-    boundaries: Sequence[float],
-    cfg: SolverConfig,
-    level: int,
-    *,
-    coincidences: bool,
-) -> RootTable:
+def _sweep(f: TrigSpectralFunction, boundaries: np.ndarray, cfg: SolverConfig, level: int,
+           upper_coincident: np.ndarray | None = None) -> RootTable:
     """Root table of ``f`` in (0, k_max], bracketed by the given boundary points.
 
-    Boundaries are either regular-level separators (``coincidences=False``)
-    or the roots of the level above (``coincidences=True``); in the latter
-    case a boundary where ``|f|`` is below the scaled coincidence threshold
-    is itself recorded as a root and its two adjacent intervals are skipped.
+    Boundaries are either regular-level separators (``upper_coincident`` is
+    None) or the roots of the level above with its ``coincident`` column; in
+    the latter case the values pass the Rolle check first, and a boundary
+    where ``|f|`` is below the scaled coincidence threshold is itself
+    recorded as a root and its two adjacent intervals are skipped.
     The window edges get the same magnitude test: a vanishing value at the
     lower edge is the trivial zero at k=0, which is excluded from the
     counting, while one at ``k_max`` is recorded as a root.
     """
     thresh = cfg.coincidence_tol * (1.0 + regularity_sum(f))
     lo, hi = cfg.root_tol, cfg.k_max
-    inner = np.asarray(boundaries, dtype=float)
-    pts = np.concatenate(([lo], inner[(lo < inner) & (inner < hi)], [hi]))
+    inside = (lo < boundaries) & (boundaries < hi)
+    pts = np.concatenate(([lo], boundaries[inside], [hi]))
     vals = eval_grid(f, pts)
     small = np.abs(vals) <= thresh
 
     coinc = np.zeros(pts.size, dtype=bool)
-    if coincidences:
+    if upper_coincident is not None:
         coinc[1:-1] = small[1:-1]
+        rise = np.diff(vals)
+        read = np.flatnonzero(np.abs(rise) > thresh)
+        flips = np.cumsum(np.concatenate(([False], ~upper_coincident[inside])))
+        turned = (rise[read] > 0.0) ^ (flips[read] % 2 == 1)
+        bad = np.flatnonzero(turned[1:] != turned[:-1])
+        if bad.size:
+            ends = [read[bad[0]], read[bad[0] + 1] + 1]
+            raise SeparatorFailure("the directions do not alternate (Rolle)",
+                                   tuple(pts[ends].tolist()), level, tuple(vals[ends].tolist()))
     skip = coinc[:-1] | coinc[1:]
     skip[0] |= small[0]
     edge = bool(small[-1] and not skip[-1])
     skip[-1] |= edge
 
-    # Every surviving interval gets the same interior probes, evaluated in
-    # one batch; more than one sign change means a separator is missing.
-    iv = np.flatnonzero(~skip & (pts[1:] - pts[:-1] > 2.0 * cfg.root_tol))
-    a, b = pts[iv], pts[iv + 1]
-    nodes = np.column_stack((a, a[:, None] + _PROBE_OFFSETS * (b - a)[:, None], b))
-    fvals = np.column_stack((vals[iv], eval_grid(f, nodes[:, 1:-1]), vals[iv + 1]))
-    changes = fvals[:, :-1] * fvals[:, 1:] < 0.0
-    counts = changes.sum(axis=1)
-    if (counts > 1).any():
-        r = int(np.argmax(counts > 1))
-        interval = (float(a[r]), float(b[r]))
-        raise SeparatorFailure(
-            f"separator failure: {counts[r]} sign changes inside {interval} at "
-            f"level {level}; the interval should bracket at most one root",
-            interval=interval,
-            level=level,
-        )
-    rows = np.flatnonzero(counts)
-    j = np.argmax(changes[rows], axis=1)
-    interior = _rtsafe(
-        f, nodes[rows, j], nodes[rows, j + 1], fvals[rows, j], fvals[rows, j + 1],
-        cfg.root_tol,
-    )
+    wide = pts[1:] - pts[:-1] > 2.0 * cfg.root_tol
+    iv = np.flatnonzero(~skip & wide & (vals[:-1] * vals[1:] < 0.0))
+    interior = _rtsafe(f, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol)
 
     ks = np.concatenate((pts[coinc], interior, pts[-1:] if edge else pts[:0]))
     is_coinc = np.arange(ks.size) < coinc.sum()
@@ -344,9 +329,23 @@ def descend_level(
     """Roots of the level below, using the level above's roots as separators.
 
     ``upper_roots`` must be the complete root table of the derivative level
-    of ``f_lower`` over the same window.
+    of ``f_lower`` over the same window; if that level is regular, its
+    size is checked first by the count (b).
     """
-    return _sweep(f_lower, upper_roots.ks, cfg, upper_roots.level - 1, coincidences=True)
+    level = upper_roots.level - 1
+    f_upper = derivative_level(f_lower, 1)
+    if is_regular(f_upper):
+        ends = np.array([cfg.root_tol, cfg.k_max])
+        g = eval_grid(f_upper, ends)
+        n = np.floor(ends / (math.pi / f_upper.s0) - f_upper.gamma0)
+        thresh = cfg.coincidence_tol * (1.0 + regularity_sum(f_upper))
+        rank = n + ((np.abs(g) <= thresh) | ((g < 0.0) != (n % 2 == 1)))
+        if len(upper_roots) != rank[1] - rank[0]:
+            raise SeparatorFailure(
+                f"the regular level above holds {len(upper_roots)} roots, its "
+                f"separators give {int(rank[1] - rank[0])}",
+                (cfg.root_tol, cfg.k_max), level, tuple(g.tolist()))
+    return _sweep(f_lower, upper_roots.ks, cfg, level, upper_roots.coincident)
 
 
 def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
@@ -366,7 +365,7 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     ladder = build_ladder(f, cfg.max_order)
     order = ladder.order
     seps = regular_separators(ladder.top, cfg.k_max)
-    tables = [_sweep(ladder.top, seps, cfg, order, coincidences=False)]
+    tables = [_sweep(ladder.top, seps, cfg, order)]
     for m in range(order - 1, -1, -1):
         tables.append(descend_level(ladder[m], tables[-1], cfg))
     return LadderSolution(ladder=ladder, tables=tuple(tables))

@@ -1,15 +1,17 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qgspectra
 from qgspectra import SolverConfig, build_ladder, eval_grid, load_graph_spec, solve_ladder
-from qgspectra import cli
+from qgspectra import cli, solver
 from qgspectra.cli import main
 
 SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
@@ -306,6 +308,25 @@ class TestFailureModes:
         assert rc == 2
         assert "solver failure" in err
         assert "order cap" in err
+
+    def test_separator_failure_prints_the_end_values(self, capsys, star_file, monkeypatch):
+        # Without separators the regular level yields at most one root, and
+        # the descent refuses that table by its count.
+        monkeypatch.setattr(solver, "regular_separators", lambda f, k_max: np.empty(0))
+        rc, out, err = run(capsys, ["solve", "--graph", star_file, "--kmax", "4"])
+        assert (rc, out) == (2, "")
+        assert "separator failure at level 0 on (1e-12, 4.0): the regular level above" in err
+        assert re.search(r"; g = \S+, \S+ at the ends$", err.strip())
+
+    @pytest.mark.parametrize("argv", [
+        ["order", "--tol", "5"],
+        ["order", "--coincidence-tol", "7"],
+        ["eval", "--k", "1", "--tol", "5"],
+    ])
+    def test_flags_a_command_does_not_read_are_refused(self, capsys, star_file, argv):
+        rc, out, err = run(capsys, argv[:1] + ["--graph", star_file] + argv[1:])
+        assert (rc, out) == (1, "")
+        assert "unrecognized arguments" in err
 
     def test_unknown_command(self, capsys):
         rc, _, err = run(capsys, ["frobnicate"])

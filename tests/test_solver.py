@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -15,7 +16,9 @@ from qgspectra import (
     SolverConfig,
     TrigSpectralFunction,
     descend_level,
+    eval_grid,
     normalize,
+    random_star,
     regular_separators,
     scan_roots,
     solve_ladder,
@@ -24,6 +27,28 @@ from qgspectra import (
 
 def pure_cosine(s0=2.0, gamma0=0.0):
     return normalize(s0, gamma0, [])
+
+
+def wide_sum(seed=5):
+    """32 terms below s0 = 10 with amplitude sum 8: a ladder several levels deep."""
+    rng = random.Random(seed)
+    raw = [(rng.uniform(0.0, 9.0), rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0))
+           for _ in range(32)]
+    scale = 8.0 / sum(abs(a) for _, _, a in raw)
+    return normalize(10.0, rng.uniform(0.0, 2.0), [(s, g, a * scale) for s, g, a in raw])
+
+
+def integrated(f):
+    """The function whose level 1 is ``f``: phases up half a turn, amplitudes
+    times s0/s."""
+    return normalize(f.s0, f.gamma0 + 0.5,
+                     [(t.s, t.gamma + 0.5, t.a * f.s0 / t.s) for t in f.terms])
+
+
+def dropped(table, *rows):
+    keep = np.ones(len(table), dtype=bool)
+    keep[list(rows)] = False
+    return RootTable(table.level, table.ks[keep], table.coincident[keep])
 
 
 class TestConfig:
@@ -246,38 +271,125 @@ class TestDescend:
         assert exc_info.value.interval == (cfg.root_tol, 10.0)
         assert exc_info.value.level == 0
 
-    def test_iteration_cap_raises_refinement_stall(self, monkeypatch):
+    def test_iteration_cap_raises_refinement_stall(self, worked_star, monkeypatch):
+        # Between the extrema of a pure cosine the regula falsi start is
+        # already the root, so the input must have terms.
         monkeypatch.setattr(solver, "_MAX_ITER", 1)
         with pytest.raises(RefinementStall, match="refinement stall"):
-            solve_ladder(pure_cosine(2.0), SolverConfig(k_max=10.0))
+            solve_ladder(worked_star, SolverConfig(k_max=10.0))
 
-    def test_halley_converges_in_three_evaluations(self, worked_star, monkeypatch):
-        # Cubic convergence from the regula falsi start: two steps, then one
-        # evaluation to see the step fall below the tolerance.  Newton's
-        # method needs a fourth on both levels.
-        sizes = []
+    def test_halley_converges_in_four_evaluations(self, worked_star, monkeypatch):
+        # Cubic convergence from the regula falsi start on the separator
+        # brackets: three steps, then one evaluation to see the step fall
+        # below the tolerance.  Newton's method (g'' zeroed) needs a fifth
+        # on both levels.
         make = solver.derivative_evaluator
 
-        def counting(f):
-            values = make(f)
+        def calls(newton):
+            sizes = []
 
-            def counted(x):
-                sizes.append(x.size)
-                return values(x)
+            def counting(f):
+                values = make(f)
 
-            return counted
+                def counted(x):
+                    sizes.append(x.size)
+                    g, dg, d2g = values(x)
+                    return g, dg, 0.0 * d2g if newton else d2g
 
-        monkeypatch.setattr(solver, "derivative_evaluator", counting)
-        sol = solve_ladder(worked_star, SolverConfig(k_max=200.0))
-        # Three calls per level; the first of each takes every bracket.
-        assert len(sizes) == 6
-        assert [sizes[0], sizes[3]] == [int((~t.coincident).sum()) for t in sol.tables]
+                return counted
+
+            monkeypatch.setattr(solver, "derivative_evaluator", counting)
+            sol = solve_ladder(worked_star, SolverConfig(k_max=200.0))
+            # The first call of each level takes every bracket.
+            brackets = [int((~t.coincident).sum()) for t in sol.tables]
+            assert [sizes[0], sizes[len(sizes) // 2]] == brackets
+            return sizes
+
+        assert calls(False) == [1209, 1146, 1146, 1018, 1082, 1018, 1018, 510]
+        assert len(calls(True)) == 10
 
     def test_coincidence_recorded_once(self, worked_star):
         sol = solve_ladder(worked_star, SolverConfig(k_max=4.0))
         near_pi = [e for e in sol.spectrum if abs(e.k - math.pi) < 1e-6]
         assert len(near_pi) == 1
         assert near_pi[0].kind == SEPARATOR_COINCIDENCE
+
+
+class TestSeparatorChecks:
+    """An incomplete table of the level above is refused, not descended."""
+
+    @pytest.mark.parametrize("name", ["worked-star", "random-star", "wide-sum"])
+    def test_any_dropped_interior_root_is_caught(self, name, worked_star):
+        f = {"worked-star": worked_star, "random-star": random_star(random.Random(3)),
+             "wide-sum": wide_sum()}[name]
+        cfg = SolverConfig(k_max=50.0)
+        sol = solve_ladder(f, cfg)
+        assert sol.ladder.order >= (4 if name == "wide-sum" else 1)
+        for m in range(1, sol.ladder.order + 1):
+            upper = sol.table(m)
+            for i in range(1, len(upper) - 1):
+                with pytest.raises(SeparatorFailure) as exc_info:
+                    descend_level(sol.ladder[m - 1], dropped(upper, i), cfg)
+                lo, hi = exc_info.value.interval
+                assert exc_info.value.level == m - 1 and lo < upper.ks[i] < hi
+
+    def test_rolle_failure_names_the_level_values(self):
+        f = wide_sum()
+        cfg = SolverConfig(k_max=50.0)
+        sol = solve_ladder(f, cfg)
+        with pytest.raises(SeparatorFailure, match="Rolle") as exc_info:
+            descend_level(sol.ladder[0], dropped(sol.table(1), 50), cfg)
+        failure = exc_info.value
+        assert failure.values == tuple(eval_grid(sol.ladder[0], failure.interval))
+        assert repr(failure.values[0]) in str(failure)
+
+    def test_regular_count_catches_one_or_two_drops(self, worked_star):
+        rng = random.Random(1)
+        for f in (worked_star, integrated(worked_star)):
+            cfg = SolverConfig(k_max=20.0)
+            sol = solve_ladder(f, cfg)
+            order = sol.ladder.order
+            upper = sol.table(order)
+            n = len(upper)
+            drops = [(i,) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
+            drops += [tuple(rng.sample(range(n), 2)) for _ in range(50)]
+            for rows in drops:
+                with pytest.raises(SeparatorFailure, match="separators give") as exc_info:
+                    descend_level(sol.ladder[order - 1], dropped(upper, *rows), cfg)
+                assert exc_info.value.interval == (cfg.root_tol, cfg.k_max)
+                assert exc_info.value.level == order - 1
+
+    def test_window_end_on_or_beside_a_root(self, worked_star):
+        # The count's end decisions follow the sweep's edge rules, so a
+        # window ending on a level-1 root, or an ulp either side, solves.
+        full = solve_ladder(worked_star, SolverConfig(k_max=50.0))
+        for k in full.table(1).ks[::7]:
+            for k_max in (np.nextafter(k, 0.0), k, np.nextafter(k, np.inf)):
+                sol = solve_ladder(worked_star, SolverConfig(k_max=float(k_max)))
+                below = full.table(1).ks[full.table(1).ks < k]
+                assert np.array_equal(sol.table(1).ks[:below.size], below)
+                assert len(sol.table(1)) - below.size in (0, 1)
+
+    @pytest.mark.parametrize("eps", [3e-10, 5e-10, 1e-9])
+    def test_close_upper_roots_are_not_read(self, worked_star, eps):
+        # Lowering the worked star by eps*cos(1e-4*k) splits each double
+        # root into two simple ones a few 1e-6 apart.  Taken as level 1,
+        # level 0 changes across such a pair by less than its rounding, so
+        # the Rolle check must skip that difference rather than read it.
+        split = normalize(worked_star.s0, worked_star.gamma0,
+                          list(worked_star.terms) + [(1e-4, 0.0, eps)])
+        sol = solve_ladder(integrated(split), SolverConfig(k_max=100.0))
+        assert [len(t) for t in sol.tables] == [604, 573, 285]
+        assert not any(t.coincident.any() for t in sol.tables)
+        assert np.diff(sol.table(1).ks).min() < 1e-5
+
+    def test_second_order_star(self, worked_star):
+        # One level above the worked star: regular at level 2, with the
+        # worked star's double roots as coincidences at levels 1 and 0.
+        sol = solve_ladder(integrated(worked_star), SolverConfig(k_max=60.0))
+        assert sol.ladder.order == 2
+        assert [len(t) for t in sol.tables] == [363, 343, 171]
+        assert [int(t.coincident.sum()) for t in sol.tables] == [0, 19, 19]
 
 
 class TestNearZeroDecisions:

@@ -209,7 +209,8 @@ class TestKernel:
             assert_bitwise(eval_grid(f, ks), reference_eval(f, ks))
 
     def test_probe_shape(self):
-        # The solver evaluates its interval probes as an (n, 4) array.
+        # A 2-d array of points, n intervals by 4 interior offsets, comes
+        # back in its own shape and bitwise equal to the scalar reference.
         a = np.linspace(0.0, 50.0, 301)[:, None]
         nodes = a + np.array([0.236, 0.472, 0.618, 0.854]) * 0.17
         for f in KERNEL_FNS.values():

@@ -16,10 +16,10 @@ width ``w`` is then, checking in this order:
 
 - **root-free** when ``|g| > |g'| w + B2 w**2/2 + err_0`` at either end
   (Taylor's bound keeps ``g`` away from zero across the cell);
-- **monotone** when ``max |g'| > B2 w + err_1``: it holds one root,
-  bisected, exactly when ``g`` changes sign;
+- **monotone** when ``max |g'| > B2 w + err_1``: it holds one root
+  exactly when ``g`` changes sign;
 - **one extremum** when ``max |g''| > B3 w + err_2``: if ``g'`` changes
-  sign, bisecting on ``g'`` finds the extremum ``x*``, which is a tangent
+  sign, its root is the extremum ``x*``, which is a tangent
   (double) root when ``|g(x*)|`` is within both ``err_0`` and
   ``coincidence_tol * (1 + sum|a|)``; otherwise each side whose end value
   differs in sign from ``g(x*)`` holds one simple root.  Without a sign
@@ -28,9 +28,21 @@ width ``w`` is then, checking in this order:
   cell gives a root only on a sign change of ``g``.
 
 An exact zero of ``g`` at a cell's right end is a root; the left end
-belongs to the cell before, or to the excluded window start.  One
-batched bisection, each cell stopping on its own, refines every root and
-extremum.
+belongs to the cell before, or to the excluded window start.
+
+One batched interval Newton (Moore; Tucker, *Validated Numerics*, 2011),
+each cell stopping on its own, refines the roots of ``g^(p)``: p = 0 for
+roots, p = 1 for extrema.  At the midpoint ``m`` of a cell of half-width
+``r`` it reads ``F = g^(p)(m)`` and ``D = g^(p+1)(m)``, with
+``e = err_p(m)`` and ``delta = B_{p+2} r + err_{p+1}(m)``.  Where
+``|D| > delta`` the root lies in ``m - [F - e, F + e] / [D - delta,
+D + delta]`` (mean value theorem), rounded outward by two ulps, and the
+cell is cut to that.  The cell is halved on the sign of ``F`` only where
+that sign is certain, ``|F| > e``, or Newton does not apply: a sign
+within rounding of zero could cut the root away.  A cell stops when it
+is at most ``refine_tol`` wide, at an exact zero ``F == 0``, or when
+Newton applies and ``|F| <= e``, since the enclosure, about ``2e/|D|``
+wide, is then as tight as rounding lets it be certified.
 
 The floor rule has a blind spot: a tangency where ``g''`` is also within
 rounding of zero reaches the floor, and unless ``g`` changes sign there
@@ -58,7 +70,6 @@ import numpy as np
 from .trig import (
     TrigSpectralFunction,
     derivative_evaluator,
-    derivative_level,
     eval_grid,
     regularity_sum,
 )
@@ -103,45 +114,46 @@ class WeylAudit:
         return self.deviation <= bound
 
 
-def _bisect(fn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) -> np.ndarray:
-    """Per-element bisection of cells ``[lo, hi]`` on the sign of ``fn``.
+def _refine(values, bounds, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+            tol: float) -> np.ndarray:
+    """Per-element interval Newton on ``g^(p)`` over cells ``[lo, hi]``.
 
-    ``flo`` has the sign of ``fn`` at ``lo``; each cell holds a sign change.
-    A cell stops when it is at most ``tol`` wide (returning the midpoint),
-    when ``fn`` is exactly zero at a midpoint (returning that midpoint), or
-    after 200 halvings.  The width is the starting one halved exactly at
-    every step, so rounding in the midpoints never costs a step: a cell
-    that meets no exact zero takes ``ceil(log2(width / tol))`` of them.
-    Finished cells leave the batch, so only live ones are evaluated.
+    ``values`` is a ``derivative_evaluator``, ``bounds`` the ``(B, C)`` of
+    ``_bounds``, and ``flo`` has the sign of ``g^(p)`` at ``lo``; each cell
+    holds a sign change.  The step and its stop rule are in the module
+    docstring; a cell also stops after 200 steps.  Finished cells leave
+    the batch, so only live ones are evaluated.
     """
-    out = np.empty_like(lo)
-    idx = np.arange(lo.size)
-    # Every live cell has been halved t times, so the narrowest one says
-    # whether any cell is done without a pass over the batch.
-    width = hi - lo
-    narrowest = float(width.min(initial=np.inf))
-    for t in range(200):
-        if narrowest <= tol:
-            done = np.ldexp(width, -t) <= tol
-            out[idx[done]] = 0.5 * (lo[done] + hi[done])
-            keep = ~done
-            idx, lo, hi, flo, width = idx[keep], lo[keep], hi[keep], flo[keep], width[keep]
-            narrowest = math.ldexp(width.min(initial=np.inf), -t)
+    b = bounds[0]
+    out = 0.5 * (lo + hi)
+    live = hi - lo > tol
+    idx, lo, hi, flo = np.flatnonzero(live), lo[live], hi[live], flo[live]
+    for _ in range(200):
         if not idx.size:
-            return out
+            break
         mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if not fmid.all():
-            hit = fmid == 0.0
-            out[idx[hit]] = mid[hit]
-            keep = ~hit
-            idx, lo, hi, flo, width = idx[keep], lo[keep], hi[keep], flo[keep], width[keep]
-            mid, fmid = mid[keep], fmid[keep]
-        # The sign change is in [lo, mid] or else in [mid, hi].
-        left = flo * fmid < 0.0
-        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fmid)
-        narrowest *= 0.5
-    out[idx] = 0.5 * (lo + hi)
+        fm, dm = values(mid)[p:p + 2]
+        e = _err(bounds, p, mid)
+        delta = b[p + 2] * np.maximum(mid - lo, hi - mid) + _err(bounds, p + 1, mid)
+        # Newton applies where g^(p+1) has no zero on the cell; where it
+        # does and g^(p) is within rounding of zero, the cell stops.
+        newton = np.abs(dm) > delta
+        halve = (np.abs(fm) > e) | ~newton
+        left = halve & (flo * fm < 0.0)
+        right = halve & ~left
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(right, mid, lo), np.where(right, fm, flo)
+        # The root is in mid - [fm - e, fm + e] / [dm - delta, dm + delta].
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.stack([(fm + s * e) / (dm + t * delta) for s in (-1, 1) for t in (-1, 1)])
+        nlo = np.nextafter(np.nextafter(mid - q.max(axis=0), -np.inf), -np.inf)
+        nhi = np.nextafter(np.nextafter(mid - q.min(axis=0), np.inf), np.inf)
+        lo = np.where(newton, np.maximum(lo, nlo), lo)
+        hi = np.where(newton, np.minimum(hi, nhi), hi)
+        hit = fm == 0.0
+        out[idx] = np.where(hit, mid, 0.5 * (lo + hi))
+        live = halve & ~hit & (hi - lo > tol)
+        idx, lo, hi, flo = idx[live], lo[live], hi[live], flo[live]
     return out
 
 
@@ -165,6 +177,12 @@ def _bounds(f: TrigSpectralFunction) -> tuple[list[float], list[float]]:
     return b, c
 
 
+def _err(bounds: tuple[list[float], list[float]], p: int, x: np.ndarray) -> np.ndarray:
+    """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)`` at ``x >= 0``."""
+    b, c = bounds
+    return _U * (b[p + 1] * x + c[p])
+
+
 def scan_roots(
     f: TrigSpectralFunction,
     window: tuple[float, float],
@@ -180,11 +198,8 @@ def scan_roots(
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"bad window ({lo}, {hi})")
     step = math.pi / (4.0 * f.s0)
-    b, c = _bounds(f)
-
-    def err(p: int, x: np.ndarray) -> np.ndarray:
-        return _U * (b[p + 1] * x + c[p])
-
+    bounds = _bounds(f)
+    b = bounds[0]
     values = derivative_evaluator(f)
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)
     v = np.stack(values(xs))
@@ -192,12 +207,12 @@ def scan_roots(
     settled = []
     while xl.size:
         w = xr - xl
-        e0 = err(0, xr)
+        e0 = _err(bounds, 0, xr)
         curv = 0.5 * b[2] * w * w
         free = ((np.abs(vl[0]) > np.abs(vl[1]) * w + curv + e0)
                 | (np.abs(vr[0]) > np.abs(vr[1]) * w + curv + e0))
-        mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + err(1, xr)
-        ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + err(2, xr)
+        mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + _err(bounds, 1, xr)
+        ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + _err(bounds, 2, xr)
         done = ~free & (mono | ext | (curv <= e0))
         # A cell with one extremum turns where g' changes sign; one where
         # it does not is monotone.
@@ -211,23 +226,22 @@ def scan_roots(
         vr = np.concatenate((vm, vr[:, split]), axis=1)
     xl, xr, vl, vr, turn = (np.concatenate(parts, axis=-1) for parts in zip(*settled))
 
-    # g' = s0 * level 1, so bisecting on level 1 finds the extremum.
-    level1 = derivative_level(f, 1)
-    x_star = _bisect(lambda x: eval_grid(level1, x), xl[turn], xr[turn], vl[1, turn], refine_tol)
+    x_star = _refine(values, bounds, 1, xl[turn], xr[turn], vl[1, turn], refine_tol)
     g_star = eval_grid(f, x_star)
     scale = 1.0 + regularity_sum(f)
-    tangent = (np.abs(g_star) <= err(0, x_star)) & (np.abs(g_star) <= coincidence_tol * scale)
+    tangent = ((np.abs(g_star) <= _err(bounds, 0, x_star))
+               & (np.abs(g_star) <= coincidence_tol * scale))
     left = ~tangent & (vl[0, turn] * g_star < 0.0)
     right = ~tangent & (vr[0, turn] * g_star < 0.0)
     cross = ~turn & (vl[0] * vr[0] < 0.0)
-    bisected = _bisect(
-        lambda x: eval_grid(f, x),
+    refined = _refine(
+        values, bounds, 0,
         np.concatenate((xl[cross], xl[turn][left], x_star[right])),
         np.concatenate((xr[cross], x_star[left], xr[turn][right])),
         np.concatenate((vl[0, cross], vl[0, turn][left], g_star[right])),
         refine_tol,
     )
-    roots = sorted(x_star[tangent].tolist() + bisected.tolist() + xr[vr[0] == 0.0].tolist())
+    roots = sorted(x_star[tangent].tolist() + refined.tolist() + xr[vr[0] == 0.0].tolist())
     roots = [r for r in roots if r > lo + refine_tol]
     deduped: list[float] = []
     for r in roots:

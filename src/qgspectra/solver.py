@@ -357,10 +357,11 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     every level, ordered M..0; eigenvalues are the squared level-0 roots.
     """
     spacing = math.pi / f.s0
-    if not cfg.root_tol < spacing:
+    # _sweep skips every interval not wider than 2*root_tol.
+    if not 2.0 * cfg.root_tol < spacing:
         raise ValueError(
-            f"root_tol {cfg.root_tol} must be smaller than the separator "
-            f"spacing pi/s0 = {spacing}"
+            f"2*root_tol = {2.0 * cfg.root_tol} must be smaller than the "
+            f"separator spacing pi/s0 = {spacing}"
         )
     ladder = build_ladder(f, cfg.max_order)
     order = ladder.order

@@ -300,6 +300,14 @@ class TestFailureModes:
         assert rc == 1
         assert f"{p}:5: k_max must be positive and finite" in err
 
+    def test_root_tol_too_wide_for_the_separators(self, capsys):
+        # specs/trig.yaml has s0 = 6: pi/s0 = 0.52 is less than 2*0.3.
+        argv = ["solve", "--graph", str(SPECS_DIR / "trig.yaml"), "--tol", "0.3"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert "2*root_tol = 0.6 must be smaller than the separator spacing" in err
+
     def test_order_cap_is_solver_failure(self, capsys, star_file):
         rc, _, err = run(
             capsys,

@@ -29,7 +29,7 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
     batched scan, with scalar control flow: each cell is classified on its
     own and either settled or split into two that are classified next.
     ``g``, ``g'`` and ``g''`` all come from one-point ``derivative_evaluator``
-    calls, bisection included, so the comparison also holds the batched
+    calls, refinement included, so the comparison also holds the batched
     scan's ``eval_grid`` calls to the evaluator's bits.
     """
     lo, hi = window
@@ -52,20 +52,32 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
     def err(p, x):
         return u * (big_b[p + 1] * x + big_c[p])
 
-    def root_bisect(p, a, b, fa):
-        width = b - a
+    def root_refine(p, a, b, fa):
+        # One interval-Newton step at a time on g^(p), as in the oracle's
+        # ``_refine``.
         for _ in range(200):
-            if width <= refine_tol:
+            if b - a <= refine_tol:
                 break
             m = 0.5 * (a + b)
-            fm = point(m)[p]
+            v = point(m)
+            fm, dm = v[p], v[p + 1]
+            e = err(p, m)
+            delta = big_b[p + 2] * max(m - a, b - m) + err(p + 1, m)
+            newton = abs(dm) > delta
+            certain = abs(fm) > e
+            if certain or not newton:
+                if fa * fm < 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            if newton:
+                q = [(fm + s * e) / (dm + t * delta) for s in (-1, 1) for t in (-1, 1)]
+                a = max(a, math.nextafter(math.nextafter(m - max(q), -math.inf), -math.inf))
+                b = min(b, math.nextafter(math.nextafter(m - min(q), math.inf), math.inf))
             if fm == 0.0:
                 return m
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-            width *= 0.5
+            if newton and not certain:
+                break
         return 0.5 * (a + b)
 
     roots = []
@@ -89,17 +101,17 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
         if vb[0] == 0.0:
             roots.append(b)
         if ext and not mono and va[1] * vb[1] < 0.0:
-            x = root_bisect(1, a, b, va[1])
+            x = root_refine(1, a, b, va[1])
             gx = point(x)[0]
             if abs(gx) <= err(0, x) and abs(gx) <= coincidence_tol * scale:
                 roots.append(x)
                 continue
             if va[0] * gx < 0.0:
-                roots.append(root_bisect(0, a, x, va[0]))
+                roots.append(root_refine(0, a, x, va[0]))
             if vb[0] * gx < 0.0:
-                roots.append(root_bisect(0, x, b, gx))
+                roots.append(root_refine(0, x, b, gx))
         elif va[0] * vb[0] < 0.0:
-            roots.append(root_bisect(0, a, b, va[0]))
+            roots.append(root_refine(0, a, b, va[0]))
 
     out = []
     for r in sorted(roots):
@@ -177,6 +189,8 @@ class TestScanRoots:
         ]
         cases += [(random_star(rng), (0.0, 6.0), {"refine_tol": 1e-10}) for _ in range(3)]
         cases += [(dict(case_suite)["chain-10"], (0.0, 10.0), {})]
+        # At large k most roots stop on the rounding floor of g.
+        cases += [(worked_star, (1490.0, 1500.0), {})]
         for f, window, kw in cases:
             assert scan_roots(f, window, **kw) == reference_scan(f, window, **kw)
 
@@ -222,44 +236,146 @@ class TestScanRoots:
         assert roots == pytest.approx(sol.spectrum.ks, abs=1e-10)
 
 
-class TestBisect:
-    def test_exact_zero_at_a_midpoint_is_returned(self):
-        out = qgspectra.oracle._bisect(
-            lambda x: x - 0.5, np.array([0.0]), np.array([1.0]), np.array([-0.5]), 1e-12
-        )
-        assert out.tolist() == [0.5]
+def refine_calls(monkeypatch, f, window):
+    """Scan ``f`` over ``window`` and return each ``_refine`` call's
+    ``(p, lo, hi, out, calls)``, ``calls`` counting each element's evaluations."""
+    refine = qgspectra.oracle._refine
+    log = []
 
-    def test_each_cell_stops_on_its_own(self):
+    def counted(values, bounds, p, lo, hi, flo, tol):
+        order = np.argsort(lo)
+        calls = np.zeros(lo.size, dtype=int)
+
+        def tally(x):
+            calls[order[np.searchsorted(lo[order], x, side="right") - 1]] += 1
+            return values(x)
+
+        out = refine(tally, bounds, p, lo, hi, flo, tol)
+        log.append((p, lo, hi, out, calls))
+        return out
+
+    monkeypatch.setattr(qgspectra.oracle, "_refine", counted)
+    scan_roots(f, window)
+    return log
+
+
+def mp_function(mpmath, f):
+    """``f`` at ``mpmath``'s working precision, on the same float coefficients."""
+    rows = [(f.s0, f.gamma0, -1.0)] + [tuple(t) for t in f.terms]
+    return lambda x: -mpmath.fsum(a * mpmath.cos(s * x - mpmath.pi * g) for s, g, a in rows)
+
+
+class TestRefine:
+    NO_ROUNDING = ([0.0] * 4, [0.0] * 4)
+
+    def test_exact_zero_at_a_midpoint_is_returned(self):
+        calls = []
+
+        def values(x):
+            calls.append(x)
+            return x - 0.5, np.zeros_like(x), np.zeros_like(x)
+
+        out = qgspectra.oracle._refine(values, self.NO_ROUNDING, 0, np.array([0.0]),
+                                       np.array([1.0]), np.array([-0.5]), 1e-12)
+        assert out.tolist() == [0.5]
+        assert len(calls) == 1
+
+    def test_each_element_stops_on_its_own(self):
+        # g is linear in every cell, so Newton encloses the first and last
+        # roots at once; g' reads 0 in the middle cell, which is bisected.
         lo = np.array([0.0, 2.0, 5.0])
-        hi = np.array([1.0, 2.0 + 1e-6, 5.0 + 1e-10])
-        roots = np.array([0.3, 2.0 + 1e-7, 5.0 + 1.7e-11])
+        hi = lo + 1.0
+        roots = np.array([0.3, 2.0 + 1e-7, 5.7])
+        slopes = np.array([1.0, 0.0, 1.0])
         batches = []
 
-        def fn(x):
+        def values(x):
             batches.append(x.size)
-            return x - roots[np.searchsorted(lo, x) - 1]
+            cell = np.searchsorted(lo, x) - 1
+            return x - roots[cell], slopes[cell], np.zeros_like(x)
 
         tol = 1e-12
-        out = qgspectra.oracle._bisect(fn, lo, hi, lo - roots, tol)
+        out = qgspectra.oracle._refine(values, self.NO_ROUNDING, 0, lo, hi, lo - roots, tol)
         assert np.all(np.abs(out - roots) <= tol)
-        # The narrowest cell leaves the batch first and the widest last.
-        assert batches[0] == 3 and batches[-1] == 1
-        assert sorted(batches, reverse=True) == batches
+        assert batches[0] == 3 and set(batches[1:]) == {1}
         assert len(batches) == math.ceil(math.log2(1.0 / tol))
 
-    def test_width_is_halved_exactly(self):
-        # Far from 0 the midpoints round, and hi - lo of the halved cell
-        # comes out above tol one step before the exactly halved width.
+    def test_scanned_elements_take_at_most_the_halving_count(
+            self, monkeypatch, worked_star, worked_chain, shifted_star):
+        # On these scans Newton cuts nearly every step, so no element needs
+        # more evaluations than halving its cell down to tol would.  This
+        # is a property of the scans, not of the routine: halving alone can
+        # take one step more (next test).
+        cases = [(worked_star, (0.0, 12.0)), (worked_star, (1490.0, 1500.0)),
+                 (worked_chain, (1490.0, 1500.0)), (shifted_star(1e-11), (0.0, 4.0))]
+        for f, window in cases:
+            log = refine_calls(monkeypatch, f, window)
+            assert {p for p, *_ in log} == {0, 1}
+            for _, lo, hi, _, calls in log:
+                assert np.all(calls <= np.ceil(np.log2((hi - lo) / 1e-12)))
+
+    def test_halving_alone_can_take_one_step_more(self):
+        # g' reads 0, so Newton never applies and every step halves.  Far
+        # from 0 the midpoints round, and hi - lo comes out above tol one
+        # step after the exactly halved width would have reached it.
         lo, hi, root = 1661.8344288753492, 1661.867746614616, 1661.8524738383312
         calls = []
 
-        def fn(x):
+        def values(x):
             calls.append(x)
-            return x - root
+            return x - root, np.zeros_like(x), np.zeros_like(x)
 
         tol = 1e-12
-        qgspectra.oracle._bisect(fn, np.array([lo]), np.array([hi]), np.array([lo - root]), tol)
-        assert len(calls) == math.ceil(math.log2((hi - lo) / tol))
+        out = qgspectra.oracle._refine(values, self.NO_ROUNDING, 0, np.array([lo]),
+                                       np.array([hi]), np.array([lo - root]), tol)
+        assert abs(out[0] - root) <= tol
+        assert len(calls) == math.ceil(math.log2((hi - lo) / tol)) + 1
+
+    def test_monotone_cells_near_1500_take_at_most_eight_calls(self, monkeypatch, worked_chain):
+        log = refine_calls(monkeypatch, worked_chain, (1490.0, 1500.0))
+        (_, lo, hi, _, calls), = [entry for entry in log if entry[0] == 0]
+        # The cell rule for a proven-monotone cell, read at both ends.
+        bounds = qgspectra.oracle._bounds(worked_chain)
+        values = derivative_evaluator(worked_chain)
+        slope = np.maximum(np.abs(values(lo)[1]), np.abs(values(hi)[1]))
+        mono = slope > bounds[0][2] * (hi - lo) + qgspectra.oracle._err(bounds, 1, hi)
+        assert mono.sum() >= 50
+        assert calls[mono].max() <= 8
+
+    def test_roots_match_mpmath(self, monkeypatch, worked_star, worked_chain):
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-12
+        cases = [(worked_star, (0.0, 12.0)), (worked_star, (1490.0, 1500.0)),
+                 (worked_chain, (1490.0, 1500.0))]
+        for f, window in cases:
+            g = mp_function(mpmath, f)
+            bounds = qgspectra.oracle._bounds(f)
+            (_, lo, hi, out, _), = [entry for entry in refine_calls(monkeypatch, f, window)
+                                    if entry[0] == 0]
+            with mpmath.workdps(50):
+                for x, a, z in zip(out.tolist(), lo.tolist(), hi.tolist()):
+                    root = mpmath.findroot(g, mpmath.mpf(x))
+                    assert a <= root <= z
+                    err0 = qgspectra.oracle._err(bounds, 0, x)
+                    slack = max(tol, 2.0 * err0 / abs(float(mpmath.diff(g, root))))
+                    assert abs(x - float(root)) <= slack
+
+    def test_value_within_rounding_stops_with_the_newton_enclosure(self):
+        # g has slope 1 and its true root at 0.5 + 2e-10, but reads 3e-10
+        # at the midpoint, within err_0 = 1e-9 of zero.  Halving on that
+        # sign would drop the root; the enclosure 0.5 - (3e-10 +- 1e-9)
+        # keeps it, and its midpoint is returned after one call.
+        bounds = ([0.0] * 4, [1e-9 / 2.0 ** -53, 0.0, 0.0, 0.0])
+        calls = []
+
+        def values(x):
+            calls.append(x)
+            return x - 0.5 + 3e-10 - 5e-10 * (x != 0.5), np.ones_like(x), np.zeros_like(x)
+
+        out = qgspectra.oracle._refine(values, bounds, 0, np.array([0.0]), np.array([1.0]),
+                                       np.array([-0.5]), 1e-12)
+        assert len(calls) == 1
+        assert out[0] == pytest.approx(0.5 - 3e-10, abs=1e-15)
 
 
 def test_oracle_does_not_import_the_solver():

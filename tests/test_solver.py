@@ -218,6 +218,14 @@ class TestSolveLadder:
         with pytest.raises(ValueError, match="root_tol"):
             solve_ladder(f, SolverConfig(k_max=1.0, root_tol=0.1))
 
+    def test_root_tol_must_fit_twice_in_the_spacing(self):
+        # Intervals not wider than 2*root_tol are skipped, so a root_tol
+        # in (pi/(2*s0), pi/s0) would return an empty spectrum.
+        f = pure_cosine(2.0)
+        with pytest.raises(ValueError, match=r"2\*root_tol = 1\.6 .* pi/s0 = 1\.57"):
+            solve_ladder(f, SolverConfig(k_max=10.0, root_tol=0.8))
+        assert len(solve_ladder(f, SolverConfig(k_max=10.0, root_tol=0.5)).spectrum) == 6
+
     def test_trivial_zero_at_origin_excluded(self, worked_star):
         # Star functions vanish identically at k = 0; the leading stub
         # must not report a root there.

@@ -3,16 +3,11 @@
 ``scan_roots`` cuts the window into cells of width ``pi/(4*s0)`` and reads
 ``g``, ``g'`` and ``g''`` at each cell end from one cosine matrix.  Every
 derivative of ``g(x) = sum_i +-a_i cos(s_i x - pi gamma_i)`` is bounded by
-``B_p = sum_i |a_i| s_i**p`` (leading term included).  The computed p-th
-derivative is within
-
-    err_p(x) = u * sum_i |a_i| s_i**p * (s_i |x| + pi(|gamma_i| + 1) + T + 3)
-
-of the true one, ``u`` being the unit roundoff: each phase is off by about
-an ulp of each of its parts, the cosine and the amplitude product by an
-ulp each, and the fold over the ``T + 1`` terms by ``T`` more (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 3).  A cell of
-width ``w`` is then, checking in this order:
+``B_p = sum_i |a_i| s_i**p`` (leading term included), and the computed
+p-th derivative is within ``err_p(x) = u * (B_{p+1} |x| + C_p)`` of the
+true one, ``u`` being the unit roundoff (``trig.derivative_bounds`` and
+``trig.rounding_bound``, which the solver's stopping rule shares).  A
+cell of width ``w`` is then, checking in this order:
 
 - **root-free** when ``|g| > |g'| w + B2 w**2/2 + err_0`` at either end
   (Taylor's bound keeps ``g`` away from zero across the cell);
@@ -69,9 +64,11 @@ import numpy as np
 
 from .trig import (
     TrigSpectralFunction,
+    derivative_bounds,
     derivative_evaluator,
     eval_grid,
     regularity_sum,
+    rounding_bound,
 )
 
 __all__ = [
@@ -81,10 +78,6 @@ __all__ = [
     "compare",
     "weyl_audit",
 ]
-
-# Unit roundoff of binary64.
-_U = 2.0 ** -53
-
 
 @dataclass(frozen=True, slots=True)
 class OracleReport:
@@ -119,10 +112,10 @@ def _refine(values, bounds, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
     """Per-element interval Newton on ``g^(p)`` over cells ``[lo, hi]``.
 
     ``values`` is a ``derivative_evaluator``, ``bounds`` the ``(B, C)`` of
-    ``_bounds``, and ``flo`` has the sign of ``g^(p)`` at ``lo``; each cell
-    holds a sign change.  The step and its stop rule are in the module
-    docstring; a cell also stops after 200 steps.  Finished cells leave
-    the batch, so only live ones are evaluated.
+    ``derivative_bounds``, and ``flo`` has the sign of ``g^(p)`` at ``lo``;
+    each cell holds a sign change.  The step and its stop rule are in the
+    module docstring; a cell also stops after 200 steps.  Finished cells
+    leave the batch, so only live ones are evaluated.
     """
     b = bounds[0]
     out = 0.5 * (lo + hi)
@@ -133,8 +126,8 @@ def _refine(values, bounds, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
             break
         mid = 0.5 * (lo + hi)
         fm, dm = values(mid)[p:p + 2]
-        e = _err(bounds, p, mid)
-        delta = b[p + 2] * np.maximum(mid - lo, hi - mid) + _err(bounds, p + 1, mid)
+        e = rounding_bound(bounds, p, mid)
+        delta = b[p + 2] * np.maximum(mid - lo, hi - mid) + rounding_bound(bounds, p + 1, mid)
         # Newton applies where g^(p+1) has no zero on the cell; where it
         # does and g^(p) is within rounding of zero, the cell stops.
         newton = np.abs(dm) > delta
@@ -157,32 +150,6 @@ def _refine(values, bounds, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
     return out
 
 
-def _bounds(f: TrigSpectralFunction) -> tuple[list[float], list[float]]:
-    """``B_p = sum_i |a_i| s_i**p`` and ``C_p`` for p = 0..3.
-
-    Both run over every term, the leading one included.  The rounding
-    bound of the computed p-th derivative at ``x`` is
-    ``u * (B_{p+1} |x| + C_p)``, with
-    ``C_p = sum_i |a_i| s_i**p (pi(|gamma_i| + 1) + T + 3)``.
-    """
-    rows = [(f.s0, f.gamma0, 1.0)] + [tuple(t) for t in f.terms]
-    span = f.n_terms + 3
-    weights = [abs(a) for _, _, a in rows]
-    b, c = [], []
-    for _ in range(4):
-        b.append(math.fsum(weights))
-        c.append(math.fsum(w * (math.pi * (abs(g) + 1.0) + span)
-                           for w, (_, g, _) in zip(weights, rows)))
-        weights = [w * s for w, (s, _, _) in zip(weights, rows)]
-    return b, c
-
-
-def _err(bounds: tuple[list[float], list[float]], p: int, x: np.ndarray) -> np.ndarray:
-    """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)`` at ``x >= 0``."""
-    b, c = bounds
-    return _U * (b[p + 1] * x + c[p])
-
-
 def scan_roots(
     f: TrigSpectralFunction,
     window: tuple[float, float],
@@ -198,7 +165,7 @@ def scan_roots(
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"bad window ({lo}, {hi})")
     step = math.pi / (4.0 * f.s0)
-    bounds = _bounds(f)
+    bounds = derivative_bounds(f)
     b = bounds[0]
     values = derivative_evaluator(f)
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)
@@ -207,12 +174,12 @@ def scan_roots(
     settled = []
     while xl.size:
         w = xr - xl
-        e0 = _err(bounds, 0, xr)
+        e0 = rounding_bound(bounds, 0, xr)
         curv = 0.5 * b[2] * w * w
         free = ((np.abs(vl[0]) > np.abs(vl[1]) * w + curv + e0)
                 | (np.abs(vr[0]) > np.abs(vr[1]) * w + curv + e0))
-        mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + _err(bounds, 1, xr)
-        ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + _err(bounds, 2, xr)
+        mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + rounding_bound(bounds, 1, xr)
+        ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + rounding_bound(bounds, 2, xr)
         done = ~free & (mono | ext | (curv <= e0))
         # A cell with one extremum turns where g' changes sign; one where
         # it does not is monotone.
@@ -229,7 +196,7 @@ def scan_roots(
     x_star = _refine(values, bounds, 1, xl[turn], xr[turn], vl[1, turn], refine_tol)
     g_star = eval_grid(f, x_star)
     scale = 1.0 + regularity_sum(f)
-    tangent = ((np.abs(g_star) <= _err(bounds, 0, x_star))
+    tangent = ((np.abs(g_star) <= rounding_bound(bounds, 0, x_star))
                & (np.abs(g_star) <= coincidence_tol * scale))
     left = ~tangent & (vl[0, turn] * g_star < 0.0)
     right = ~tangent & (vr[0, turn] * g_star < 0.0)

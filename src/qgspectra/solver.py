@@ -46,7 +46,25 @@ vectorized safeguarded Halley iteration on the analytic derivatives:
 ``g_m' = s0 * g_{m+1}`` is the next level of the ladder, and
 ``g_m'' = s0**2 * g_{m+2}`` is level m shifted by half a turn, so it reads
 the same cosines as ``g_m``.  One phase matrix per iteration, stacking the
-phases of levels m and m+1, gives all three.
+phases of levels m and m+1, gives all three.  Every bracket runs between
+extrema, of the leading cosine at the regular level and of ``g_m`` on a
+descent, so the iteration starts at the root of the half cosine wave
+through the end values, ``lo + (hi - lo)*arccos((flo + fhi)/(fhi - flo))/pi``,
+which is exact for a pure cosine.  After each evaluation at ``x``, the
+values already in hand test the Halley point ``y``: the quadratic Taylor
+model at ``x``, taken at ``y -+ tol`` with ``tol = root_tol + 4*eps*|y|``,
+must have opposite signs there, each clearing the margin
+``e_0 + |d|*e_1 + d**2*e_2/2 + B_3*|d|**3/6`` plus a few ulps for the
+model's own evaluation.  Here ``d`` is the distance from ``x``, ``e_p`` is
+the rounding bound of the computed ``g_m^(p)`` and ``B_3`` bounds the
+third derivative (``trig.derivative_bounds``, shared with the oracle).
+The bracket holds exactly one root, so that root is then within ``tol``
+of ``y``, and ``y`` is returned; most brackets stop after two
+evaluations.  Where the test fails, Brent's stopping rule (the last step
+within ``tol``) ends the element; at large k, where the rounding of ``g``
+is wider than ``tol``, that is what ends the loop.  A bracket at most
+``2*root_tol`` wide is not refined: its midpoint is within ``root_tol``
+of its root.
 
 A level's roots are kept as a ``RootTable`` of two columns: the ascending
 roots ``ks`` (float64) and a bool mask ``coincident`` of those found on a
@@ -65,14 +83,17 @@ from typing import Iterator
 import numpy as np
 
 from .trig import (
+    UNIT_ROUNDOFF,
     DerivativeLadder,
     TrigSpectralFunction,
     build_ladder,
+    derivative_bounds,
     derivative_evaluator,
     derivative_level,
     eval_grid,
     is_regular,
     regularity_sum,
+    rounding_bound,
 )
 
 __all__ = [
@@ -96,6 +117,9 @@ _MAX_ITER = 100
 # Relative part of the refinement stopping rule, as in Brent's method: at
 # large k the step noise of a double-precision root exceeds root_tol alone.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
+# The certified stop tests points this far from the Halley point, so that
+# they stay within root_tol + _ROOT_RTOL*|k| of it after rounding.
+_END_RTOL = 3.0 * np.finfo(float).eps
 
 
 class RefinementStall(RuntimeError):
@@ -237,20 +261,33 @@ def regular_separators(f: TrigSpectralFunction, k_max: float) -> np.ndarray:
 def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
     """One root inside each sign-change bracket ``[lo, hi]``, all at once.
 
-    Safeguarded Halley iteration: the step ``2*g*g' / (2*g'**2 - g*g'')`` is
-    taken when it stays in the bracket and is at most half the step before
-    last, otherwise the bracket is bisected.  ``g'`` is ``s0`` times the next
-    ladder level and ``g''`` is read from the same cosines as ``g``, so one
-    phase matrix per iteration gives all three.  An element stops once its
-    last step is within ``root_tol + 4*eps*|k|`` (Brent's default stopping
-    rule), and only unconverged elements are evaluated again.
+    Every bracket runs between extrema, of the leading cosine or of the
+    level below, so the iteration starts at the root of the half cosine
+    wave through the end values, exact for a pure cosine.  It then takes
+    safeguarded Halley steps ``2*g*g' / (2*g'**2 - g*g'')`` when they stay
+    in the bracket and are at most half the step before last, and bisects
+    otherwise.  ``g'`` is ``s0`` times the next ladder level and ``g''`` is
+    read from the same cosines as ``g``, so one phase matrix per iteration
+    gives all three.
+
+    After each evaluation at ``x``, an element returns the Halley point
+    ``y`` once the Taylor model at ``x`` certifies a sign change of ``g``
+    within ``tol = root_tol + 4*eps*|y|`` of ``y``: at both ends the model
+    must clear a margin made of the rounding bounds ``e_0``, ``e_1``,
+    ``e_2`` of the computed values, Taylor's remainder ``B_3*|d|**3/6``
+    and a few ulps for the model itself (``_certifier``).  Otherwise the
+    element stops when its last step is within ``tol`` (Brent's default
+    stopping rule); at large k, where the rounding of ``g`` is wider than
+    ``tol``, that rule is what ends the loop.  Only unfinished elements
+    are evaluated again.
     """
     derivatives = derivative_evaluator(f)
+    certified = _certifier(f, float(hi.max(initial=0.0)), root_tol)
     out = np.empty_like(lo)
     idx = np.arange(lo.size)
     neg_lo = flo < 0.0
-    # Regula falsi start: the values at the bracket ends are already known.
-    x = lo - flo * (hi - lo) / (fhi - flo)
+    lo0, hi0 = lo, hi
+    x = lo + (hi - lo) * np.arccos((flo + fhi) / (fhi - flo)) / math.pi
     step = step_old = hi - lo
     for _ in range(_MAX_ITER):
         gx, dg, d2g = derivatives(x)
@@ -259,19 +296,70 @@ def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.nd
         hi = np.where(left, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             halley = np.where(gx == 0.0, 0.0, 2.0 * gx * dg / (2.0 * dg * dg - gx * d2g))
-        xn = x - halley
-        take = (lo <= xn) & (xn <= hi) & (2.0 * np.abs(halley) <= step_old)
+            y = x - halley
+            cert = certified(x, gx, dg, d2g, y, lo0, hi0, neg_lo)
+        take = (lo <= y) & (y <= hi) & (2.0 * np.abs(halley) <= step_old)
         half = 0.5 * (hi - lo)
-        xn = np.where(take, xn, lo + half)
+        xn = np.where(take, y, lo + half)
         step_old, step = step, np.where(take, np.abs(halley), half)
-        done = (xn == x) | (step <= root_tol + _ROOT_RTOL * np.abs(xn))
-        out[idx[done]] = xn[done]
+        done = cert | (xn == x) | (step <= root_tol + _ROOT_RTOL * np.abs(xn))
+        out[idx[done]] = np.where(cert, y, xn)[done]
         keep = ~done
         idx, x, lo, hi, neg_lo = idx[keep], xn[keep], lo[keep], hi[keep], neg_lo[keep]
         step, step_old = step[keep], step_old[keep]
+        lo0, hi0 = lo0[keep], hi0[keep]
         if not idx.size:
             return out
     raise RefinementStall(f"refinement stall on [{lo[0]}, {hi[0]}] after {_MAX_ITER} iterations")
+
+
+def _certifier(f: TrigSpectralFunction, x_max: float, root_tol: float):
+    """A test of where ``g`` provably has its root within the tolerance of ``y``.
+
+    The test reads ``g``, ``g'`` and ``g''`` as computed at ``x`` in
+    ``[0, x_max]``, and the bracket ``[lo, hi]`` the refinement started
+    from.  It checks the ends ``z = y -+ t``, with
+    ``t = root_tol + 3*eps*|y|`` so that a rounded end is still within the
+    tolerance of ``y``.  With ``d = z - x``, the quadratic Taylor model
+    ``g + g'*d + g''*d**2/2`` is within
+
+        e_0 + |d|*e_1 + d**2*e_2/2 + B_3*|d|**3/6
+
+    of the true ``g(z)``.  ``e_p`` is the rounding bound of the computed
+    ``g^(p)`` (``trig.rounding_bound``), taken at ``x`` for ``e_0`` and at
+    ``x_max`` for the others, whose terms are tiny at the ``|d|`` where
+    the test can pass.  The last term is Taylor's remainder.  Eight ulps of
+    ``B_0 + B_1*|d| + B_2*d**2/2``, which bound the model's terms, cover its
+    own evaluation.  Where the model clears that margin at both ends with
+    the signs of ``g`` at ``lo`` and at ``hi``, ``g`` has a root between
+    them.  The bracket holds exactly one root: the ``theta'`` bound at the
+    regular level, monotonicity between the upper roots on a descent.  So
+    the ends must also lie in the bracket, and then that root is within
+    ``root_tol + 4*eps*|y|`` of ``y``.
+    """
+    bounds = derivative_bounds(f)
+    b = bounds[0]
+    ulps = 8.0 * UNIT_ROUNDOFF
+    # The margin past e_0(x), in powers of |d|.
+    c0 = ulps * b[0]
+    c1 = rounding_bound(bounds, 1, x_max) + ulps * b[1]
+    c2 = 0.5 * (rounding_bound(bounds, 2, x_max) + ulps * b[2])
+    c3 = b[3] / 6.0
+
+    def certified(x, g, dg, d2g, y, lo, hi, neg_lo) -> np.ndarray:
+        t = root_tol + _END_RTOL * np.abs(y)
+        z0, z1 = y - t, y + t
+        d0, d1 = z0 - x, z1 - x
+        r = np.maximum(np.abs(d0), np.abs(d1))
+        margin = rounding_bound(bounds, 0, x) + (c0 + r * (c1 + r * (c2 + r * c3)))
+        half = 0.5 * d2g
+        # Positive where the model has the sign of g at lo (at z0) or at hi (at z1).
+        side = 1.0 - 2.0 * neg_lo
+        m0 = side * (g + d0 * (dg + d0 * half))
+        m1 = -side * (g + d1 * (dg + d1 * half))
+        return (m0 > margin) & (m1 > margin) & (lo <= z0) & (z1 <= hi)
+
+    return certified
 
 
 def _sweep(f: TrigSpectralFunction, boundaries: np.ndarray, cfg: SolverConfig, level: int,
@@ -311,9 +399,15 @@ def _sweep(f: TrigSpectralFunction, boundaries: np.ndarray, cfg: SolverConfig, l
     edge = bool(small[-1] and not skip[-1])
     skip[-1] |= edge
 
-    wide = pts[1:] - pts[:-1] > 2.0 * cfg.root_tol
-    iv = np.flatnonzero(~skip & wide & (vals[:-1] * vals[1:] < 0.0))
-    interior = _rtsafe(f, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol)
+    iv = np.flatnonzero(~skip & (vals[:-1] * vals[1:] < 0.0))
+    # A bracket at most 2*root_tol wide already has its root within
+    # root_tol of its midpoint.
+    narrow = pts[iv + 1] - pts[iv] <= 2.0 * cfg.root_tol
+    nv, iv = iv[narrow], iv[~narrow]
+    interior = np.concatenate((
+        0.5 * (pts[nv] + pts[nv + 1]),
+        _rtsafe(f, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol),
+    ))
 
     ks = np.concatenate((pts[coinc], interior, pts[-1:] if edge else pts[:0]))
     is_coinc = np.arange(ks.size) < coinc.sum()
@@ -357,7 +451,8 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     every level, ordered M..0; eigenvalues are the squared level-0 roots.
     """
     spacing = math.pi / f.s0
-    # _sweep skips every interval not wider than 2*root_tol.
+    # A root is placed within root_tol, so a tolerance of half the
+    # separator spacing or more says nothing the separators do not.
     if not 2.0 * cfg.root_tol < spacing:
         raise ValueError(
             f"2*root_tol = {2.0 * cfg.root_tol} must be smaller than the "

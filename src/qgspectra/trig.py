@@ -46,6 +46,9 @@ __all__ = [
     "evaluate",
     "eval_grid",
     "derivative_evaluator",
+    "derivative_bounds",
+    "rounding_bound",
+    "UNIT_ROUNDOFF",
     "derivative_level",
     "regularity_sum",
     "REGULARITY_MARGIN",
@@ -285,6 +288,45 @@ def derivative_evaluator(f: TrigSpectralFunction):
         return g, s0 * g1, -(s0 * s0) * g2
 
     return values
+
+
+# Unit roundoff of binary64.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def derivative_bounds(f: TrigSpectralFunction) -> tuple[list[float], list[float]]:
+    """``B_p = sum_i |a_i| s_i**p`` and ``C_p`` for p = 0..3, over every
+    term, the leading one included.
+
+    ``B_p`` bounds ``|g^(p)|`` everywhere.  With them,
+    ``rounding_bound`` bounds how far the p-th derivative computed by
+    ``derivative_evaluator(f)`` lies from the true one at the same float
+    point ``x``:
+
+        err_p(x) = u * sum_i |a_i| s_i**p * (s_i |x| + pi(|gamma_i| + 1) + T + 3)
+                 = u * (B_{p+1} |x| + C_p).
+
+    Each phase is off by about an ulp of each of its parts, the cosine and
+    the amplitude product by an ulp each, and the fold over the ``T + 1``
+    terms by ``T`` more (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).
+    """
+    s, gamma, a = _columns(f)
+    span = _PI * (np.abs(gamma) + 1.0) + (f.n_terms + 3)
+    weights = np.abs(a)
+    b, c = [], []
+    for _ in range(4):
+        b.append(math.fsum(weights.tolist()))
+        c.append(math.fsum((weights * span).tolist()))
+        weights = weights * s
+    return b, c
+
+
+def rounding_bound(bounds: tuple[list[float], list[float]], p: int, x):
+    """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)`` at ``x >= 0``,
+    from the ``(B, C)`` of ``derivative_bounds``."""
+    b, c = bounds
+    return UNIT_ROUNDOFF * (b[p + 1] * x + c[p])
 
 
 def evaluate(f: TrigSpectralFunction, k: float) -> float:

@@ -335,10 +335,10 @@ class TestRefine:
         log = refine_calls(monkeypatch, worked_chain, (1490.0, 1500.0))
         (_, lo, hi, _, calls), = [entry for entry in log if entry[0] == 0]
         # The cell rule for a proven-monotone cell, read at both ends.
-        bounds = qgspectra.oracle._bounds(worked_chain)
+        bounds = qgspectra.trig.derivative_bounds(worked_chain)
         values = derivative_evaluator(worked_chain)
         slope = np.maximum(np.abs(values(lo)[1]), np.abs(values(hi)[1]))
-        mono = slope > bounds[0][2] * (hi - lo) + qgspectra.oracle._err(bounds, 1, hi)
+        mono = slope > bounds[0][2] * (hi - lo) + qgspectra.trig.rounding_bound(bounds, 1, hi)
         assert mono.sum() >= 50
         assert calls[mono].max() <= 8
 
@@ -349,14 +349,14 @@ class TestRefine:
                  (worked_chain, (1490.0, 1500.0))]
         for f, window in cases:
             g = mp_function(mpmath, f)
-            bounds = qgspectra.oracle._bounds(f)
+            bounds = qgspectra.trig.derivative_bounds(f)
             (_, lo, hi, out, _), = [entry for entry in refine_calls(monkeypatch, f, window)
                                     if entry[0] == 0]
             with mpmath.workdps(50):
                 for x, a, z in zip(out.tolist(), lo.tolist(), hi.tolist()):
                     root = mpmath.findroot(g, mpmath.mpf(x))
                     assert a <= root <= z
-                    err0 = qgspectra.oracle._err(bounds, 0, x)
+                    err0 = qgspectra.trig.rounding_bound(bounds, 0, x)
                     slack = max(tol, 2.0 * err0 / abs(float(mpmath.diff(g, root))))
                     assert abs(x - float(root)) <= slack
 

@@ -18,6 +18,7 @@ from qgspectra import (
     descend_level,
     eval_grid,
     normalize,
+    random_chain,
     random_star,
     regular_separators,
     scan_roots,
@@ -219,12 +220,22 @@ class TestSolveLadder:
             solve_ladder(f, SolverConfig(k_max=1.0, root_tol=0.1))
 
     def test_root_tol_must_fit_twice_in_the_spacing(self):
-        # Intervals not wider than 2*root_tol are skipped, so a root_tol
-        # in (pi/(2*s0), pi/s0) would return an empty spectrum.
+        # A root_tol in (pi/(2*s0), pi/s0) would place each root no better
+        # than its separators already do.
         f = pure_cosine(2.0)
         with pytest.raises(ValueError, match=r"2\*root_tol = 1\.6 .* pi/s0 = 1\.57"):
             solve_ladder(f, SolverConfig(k_max=10.0, root_tol=0.8))
         assert len(solve_ladder(f, SolverConfig(k_max=10.0, root_tol=0.5)).spectrum) == 6
+
+    def test_narrow_bracket_keeps_its_root(self):
+        # The first bracket, (0.7, pi/2], is not wider than 2*root_tol; its
+        # root pi/4 is kept as the bracket's midpoint, within root_tol.
+        cfg = SolverConfig(k_max=10.0, root_tol=0.7)
+        ks = solve_ladder(pure_cosine(2.0), cfg).spectrum.ks
+        expected = [(2 * n + 1) * math.pi / 4.0 for n in range(6)]
+        assert len(ks) == 6
+        assert ks[0] == 0.5 * (0.7 + math.pi / 2.0)
+        assert np.all(np.abs(ks - expected) <= cfg.root_tol)
 
     def test_trivial_zero_at_origin_excluded(self, worked_star):
         # Star functions vanish identically at k = 0; the leading stub
@@ -280,24 +291,25 @@ class TestDescend:
         assert exc_info.value.level == 0
 
     def test_iteration_cap_raises_refinement_stall(self, worked_star, monkeypatch):
-        # Between the extrema of a pure cosine the regula falsi start is
-        # already the root, so the input must have terms.
+        # Between the extrema of a pure cosine the arc start is already the
+        # root, so the input must have terms.
         monkeypatch.setattr(solver, "_MAX_ITER", 1)
         with pytest.raises(RefinementStall, match="refinement stall"):
             solve_ladder(worked_star, SolverConfig(k_max=10.0))
 
-    def test_halley_converges_in_four_evaluations(self, worked_star, monkeypatch):
-        # Cubic convergence from the regula falsi start on the separator
-        # brackets: three steps, then one evaluation to see the step fall
-        # below the tolerance.  Newton's method (g'' zeroed) needs a fifth
-        # on both levels.
+    def test_certified_halley_takes_three_then_two_evaluations(self, worked_star, monkeypatch):
+        # From the arc start, nearly every bracket is certified after three
+        # evaluations on the regular level 1 and after two on level 0.
+        # Newton's method (g'' zeroed) needs more evaluations.
         make = solver.derivative_evaluator
 
         def calls(newton):
-            sizes = []
+            levels = []
 
             def counting(f):
                 values = make(f)
+                sizes = []
+                levels.append(sizes)
 
                 def counted(x):
                     sizes.append(x.size)
@@ -309,18 +321,77 @@ class TestDescend:
             monkeypatch.setattr(solver, "derivative_evaluator", counting)
             sol = solve_ladder(worked_star, SolverConfig(k_max=200.0))
             # The first call of each level takes every bracket.
-            brackets = [int((~t.coincident).sum()) for t in sol.tables]
-            assert [sizes[0], sizes[len(sizes) // 2]] == brackets
-            return sizes
+            assert [sizes[0] for sizes in levels] == [int((~t.coincident).sum())
+                                                      for t in sol.tables]
+            return levels
 
-        assert calls(False) == [1209, 1146, 1146, 1018, 1082, 1018, 1018, 510]
-        assert len(calls(True)) == 10
+        halley = calls(False)
+        assert halley == [[1209, 1146, 1018], [1082, 1018]]
+        newton = calls(True)
+        assert sum(map(len, newton)) > sum(map(len, halley))
+        assert sum(map(sum, newton)) > sum(map(sum, halley))
 
     def test_coincidence_recorded_once(self, worked_star):
         sol = solve_ladder(worked_star, SolverConfig(k_max=4.0))
         near_pi = [e for e in sol.spectrum if abs(e.k - math.pi) < 1e-6]
         assert len(near_pi) == 1
         assert near_pi[0].kind == SEPARATOR_COINCIDENCE
+
+
+class TestCertifiedStop:
+    """The Taylor-model stop of the refinement, and the step rule behind it."""
+
+    def test_every_root_has_a_sign_change_within_its_tolerance(self):
+        # At 40 digits, on the same float coefficients, g must change sign
+        # across [k - tol, k + tol] at every simple root of every level.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(15)
+        cases = [(random_star(rng), 300.0), (random_chain(rng), 300.0),
+                 (random_star(rng), 60.0), (random_chain(rng), 60.0), (wide_sum(), 12.0)]
+        eps = np.finfo(float).eps
+        checked = 0
+        with mpmath.workdps(40):
+            for f, k_max in cases:
+                cfg = SolverConfig(k_max=k_max)
+                sol = solve_ladder(f, cfg)
+                for table, level in zip(sol.tables, reversed(sol.ladder.levels)):
+                    rows = [(mpmath.mpf(s), mpmath.pi * gamma, mpmath.mpf(a)) for s, gamma, a in
+                            [(level.s0, level.gamma0, -1.0)] + [tuple(t) for t in level.terms]]
+
+                    def g(x):
+                        return -mpmath.fsum(a * mpmath.cos(s * x - pg) for s, pg, a in rows)
+
+                    for k in table.ks[~table.coincident].tolist():
+                        tol = mpmath.mpf(cfg.root_tol + 4.0 * eps * k)
+                        assert g(k - tol) * g(k + tol) < 0, (f, table.level, k)
+                        checked += 1
+        assert checked > 5000
+
+    def test_large_window_finishes_through_the_step_rule(self, worked_star, monkeypatch):
+        # Once 4*eps*k dominates the tolerance, the rounding bound grows as
+        # fast, and the certificate needs |g'| at the root to clear about
+        # B_1/6.  Some level-1 roots near k = 7.5e4, where |g'| = 134/19,
+        # miss it and are ended by the step rule.  Every level keeps the
+        # counts the solver gave before the certificate existed.
+        make = solver._certifier
+        fired = []
+
+        def counting(*args):
+            certified = make(*args)
+
+            def counted(*values):
+                out = certified(*values)
+                fired.append(int(out.sum()))
+                return out
+
+            return counted
+
+        monkeypatch.setattr(solver, "_certifier", counting)
+        sol = solve_ladder(worked_star, SolverConfig(k_max=1e5))
+        assert [len(t) for t in sol.tables] == [604788, 572957]
+        assert [int(t.coincident.sum()) for t in sol.tables] == [0, 31830]
+        brackets = sum(int((~t.coincident).sum()) for t in sol.tables)
+        assert 0 < sum(fired) < brackets
 
 
 class TestSeparatorChecks:

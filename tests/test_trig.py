@@ -287,6 +287,27 @@ class TestDerivatives:
         fd = (eval_grid(f, x + h) - 2.0 * eval_grid(f, x) + eval_grid(f, x - h)) / h**2
         assert np.allclose(d2g, fd, rtol=0.0, atol=1e-5 * f.s0 ** 2)
 
+    @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
+    def test_rounding_bound_covers_the_evaluator(self, rows):
+        # Against 30-digit values at the same float points, each computed
+        # g^(p) is within rounding_bound, and B_p bounds its size.
+        mpmath = pytest.importorskip("mpmath")
+        f = derivative_level(KERNEL_FNS[rows], 1)
+        bounds = trig.derivative_bounds(f)
+        x = np.concatenate((np.linspace(0.0, 50.0, 21), 1e4 + np.linspace(0.0, 5.0, 11),
+                            1e7 + np.linspace(0.0, 1.0, 5)))
+        computed = derivative_evaluator(f)(x)
+        rows_mp = [(mpmath.mpf(s), mpmath.pi * g, mpmath.mpf(a)) for s, g, a in
+                   [(f.s0, f.gamma0, -1.0)] + [tuple(t) for t in f.terms]]
+        with mpmath.workdps(30):
+            for i, k in enumerate(x.tolist()):
+                for p in range(3):
+                    # d^p/dk^p cos(s*k - c) = s**p * cos(s*k - c + p*pi/2)
+                    exact = -mpmath.fsum(a * s ** p * mpmath.cos(s * k - pg + p * mpmath.pi / 2)
+                                         for s, pg, a in rows_mp)
+                    assert abs(computed[p][i] - exact) <= trig.rounding_bound(bounds, p, k)
+                    assert abs(computed[p][i]) <= bounds[0][p] * (1.0 + 1e-12)
+
 
 class TestDerivativeLadder:
     def test_level_zero_is_same_object(self):

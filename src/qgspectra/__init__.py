@@ -38,12 +38,12 @@ from .specfile import LoadedSpec, SpecFileError, load_graph_spec, trig_spec_data
 from .trig import (
     REGULARITY_MARGIN,
     DerivativeLadder,
+    Derivatives,
     NormalizeError,
     OrderCapError,
     Term,
     TrigSpectralFunction,
     build_ladder,
-    derivative_evaluator,
     derivative_level,
     evaluate,
     eval_grid,
@@ -62,7 +62,7 @@ __all__ = [
     "OrderCapError",
     "normalize",
     "derivative_level",
-    "derivative_evaluator",
+    "Derivatives",
     "build_ladder",
     "regularity_sum",
     "REGULARITY_MARGIN",

@@ -40,7 +40,7 @@ from .solver import (
     SolverConfig,
     solve_ladder,
 )
-from .specfile import LoadedSpec, SpecFileError, load_graph_spec
+from .specfile import LoadedSpec, load_graph_spec
 from .trig import OrderCapError, build_ladder, eval_grid, regularity_sum
 
 __all__ = ["main"]
@@ -273,19 +273,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"qgspectra: error: {exc}", file=sys.stderr)
-        return 1
-    except SpecFileError as exc:
-        print(f"qgspectra: error: {exc}", file=sys.stderr)
-        return 1
     except (SeparatorFailure, OrderCapError, RefinementStall) as exc:
         print(f"qgspectra: solver failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"qgspectra: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ValueError, OSError) as exc:  # SpecFileError is a ValueError
         print(f"qgspectra: error: {exc}", file=sys.stderr)
         return 1
 

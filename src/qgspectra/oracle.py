@@ -1,12 +1,11 @@
 """Root finding by derivative-bound cells, and cross-checks; independent of the ladder.
 
 ``scan_roots`` cuts the window into cells of width ``pi/(4*s0)`` and reads
-``g``, ``g'`` and ``g''`` at each cell end from one cosine matrix.  Every
-derivative of ``g(x) = sum_i +-a_i cos(s_i x - pi gamma_i)`` is bounded by
-``B_p = sum_i |a_i| s_i**p`` (leading term included), and the computed
-p-th derivative is within ``err_p(x) = u * (B_{p+1} |x| + C_p)`` of the
-true one, ``u`` being the unit roundoff (``trig.derivative_bounds`` and
-``trig.rounding_bound``, which the solver's stopping rule shares).  A
+``g``, ``g'`` and ``g''`` at each cell end from one cosine matrix, all
+from one ``trig.Derivatives`` built per call.  ``B_p`` bounds the p-th
+derivative of ``g`` everywhere, and the computed one is within the
+rounding bound ``err_p(x)``, which grows linearly in ``x`` (both derived
+in ``trig.Derivatives``; the solver's stopping rule shares them).  A
 cell of width ``w`` is then, checking in this order:
 
 - **root-free** when ``|g| > |g'| w + B2 w**2/2 + err_0`` at either end
@@ -62,14 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import (
-    TrigSpectralFunction,
-    derivative_bounds,
-    derivative_evaluator,
-    eval_grid,
-    regularity_sum,
-    rounding_bound,
-)
+from .trig import Derivatives, TrigSpectralFunction, regularity_sum
 
 __all__ = [
     "OracleReport",
@@ -83,7 +75,6 @@ __all__ = [
 class OracleReport:
     """Outcome of comparing a solver root list against an oracle scan."""
 
-    roots: tuple[float, ...]
     scan_step: float
     # Largest deviation among the roots that matched before any failure;
     # 0.0 on a count mismatch.
@@ -107,17 +98,15 @@ class WeylAudit:
         return self.deviation <= bound
 
 
-def _refine(values, bounds, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+def _refine(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
             tol: float) -> np.ndarray:
     """Per-element interval Newton on ``g^(p)`` over cells ``[lo, hi]``.
 
-    ``values`` is a ``derivative_evaluator``, ``bounds`` the ``(B, C)`` of
-    ``derivative_bounds``, and ``flo`` has the sign of ``g^(p)`` at ``lo``;
-    each cell holds a sign change.  The step and its stop rule are in the
-    module docstring; a cell also stops after 200 steps.  Finished cells
-    leave the batch, so only live ones are evaluated.
+    ``d`` gives the values and bounds, and ``flo`` has the sign of
+    ``g^(p)`` at ``lo``; each cell holds a sign change.  The step and its
+    stop rule are in the module docstring; a cell also stops after 200
+    steps.  Finished cells leave the batch, so only live ones are evaluated.
     """
-    b = bounds[0]
     out = 0.5 * (lo + hi)
     live = hi - lo > tol
     idx, lo, hi, flo = np.flatnonzero(live), lo[live], hi[live], flo[live]
@@ -125,9 +114,9 @@ def _refine(values, bounds, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
         if not idx.size:
             break
         mid = 0.5 * (lo + hi)
-        fm, dm = values(mid)[p:p + 2]
-        e = rounding_bound(bounds, p, mid)
-        delta = b[p + 2] * np.maximum(mid - lo, hi - mid) + rounding_bound(bounds, p + 1, mid)
+        fm, dm = d(mid)[p:p + 2]
+        e = d.err(p, mid)
+        delta = d.B[p + 2] * np.maximum(mid - lo, hi - mid) + d.err(p + 1, mid)
         # Newton applies where g^(p+1) has no zero on the cell; where it
         # does and g^(p) is within rounding of zero, the cell stops.
         newton = np.abs(dm) > delta
@@ -165,21 +154,20 @@ def scan_roots(
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"bad window ({lo}, {hi})")
     step = math.pi / (4.0 * f.s0)
-    bounds = derivative_bounds(f)
-    b = bounds[0]
-    values = derivative_evaluator(f)
+    d = Derivatives(f)
+    b = d.B
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)
-    v = np.stack(values(xs))
+    v = np.stack(d(xs))
     xl, xr, vl, vr = xs[:-1], xs[1:], v[:, :-1], v[:, 1:]
     settled = []
     while xl.size:
         w = xr - xl
-        e0 = rounding_bound(bounds, 0, xr)
+        e0 = d.err(0, xr)
         curv = 0.5 * b[2] * w * w
         free = ((np.abs(vl[0]) > np.abs(vl[1]) * w + curv + e0)
                 | (np.abs(vr[0]) > np.abs(vr[1]) * w + curv + e0))
-        mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + rounding_bound(bounds, 1, xr)
-        ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + rounding_bound(bounds, 2, xr)
+        mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + d.err(1, xr)
+        ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + d.err(2, xr)
         done = ~free & (mono | ext | (curv <= e0))
         # A cell with one extremum turns where g' changes sign; one where
         # it does not is monotone.
@@ -187,22 +175,22 @@ def scan_roots(
         settled.append((xl[done], xr[done], vl[:, done], vr[:, done], turn[done]))
         split = ~free & ~done
         xm = 0.5 * (xl[split] + xr[split])
-        vm = np.stack(values(xm))
+        vm = np.stack(d(xm))
         xl, xr = np.concatenate((xl[split], xm)), np.concatenate((xm, xr[split]))
         vl = np.concatenate((vl[:, split], vm), axis=1)
         vr = np.concatenate((vm, vr[:, split]), axis=1)
     xl, xr, vl, vr, turn = (np.concatenate(parts, axis=-1) for parts in zip(*settled))
 
-    x_star = _refine(values, bounds, 1, xl[turn], xr[turn], vl[1, turn], refine_tol)
-    g_star = eval_grid(f, x_star)
+    x_star = _refine(d, 1, xl[turn], xr[turn], vl[1, turn], refine_tol)
+    g_star = d.g(x_star)
     scale = 1.0 + regularity_sum(f)
-    tangent = ((np.abs(g_star) <= rounding_bound(bounds, 0, x_star))
+    tangent = ((np.abs(g_star) <= d.err(0, x_star))
                & (np.abs(g_star) <= coincidence_tol * scale))
     left = ~tangent & (vl[0, turn] * g_star < 0.0)
     right = ~tangent & (vr[0, turn] * g_star < 0.0)
     cross = ~turn & (vl[0] * vr[0] < 0.0)
     refined = _refine(
-        values, bounds, 0,
+        d, 0,
         np.concatenate((xl[cross], xl[turn][left], x_star[right])),
         np.concatenate((xr[cross], x_star[left], xr[turn][right])),
         np.concatenate((vl[0, cross], vl[0, turn][left], g_star[right])),
@@ -232,19 +220,18 @@ def compare(
     # The first index where the lists disagree; when the common prefix
     # matches and the counts differ, the divergence is right past it.
     where = int(bad[0]) if bad.size else m
-    roots = tuple(oracle_roots)
     if a.size != b.size:
-        return OracleReport(roots, scan_step, 0.0, "fail", where, (
+        return OracleReport(scan_step, 0.0, "fail", where, (
             f"count mismatch: solver found {a.size} roots, oracle found {b.size} "
             f"(lists diverge at index {where})"
         ))
     max_deviation = float(dev[:where].max(initial=0.0))
     if bad.size:
-        return OracleReport(roots, scan_step, max_deviation, "fail", where, (
+        return OracleReport(scan_step, max_deviation, "fail", where, (
             f"root {where + 1} deviates by {dev[where]:.3e} (solver {float(a[where])!r}, "
             f"oracle {float(b[where])!r}, tol {tol:g})"
         ))
-    return OracleReport(roots, scan_step, max_deviation, "pass")
+    return OracleReport(scan_step, max_deviation, "pass")
 
 
 def weyl_audit(

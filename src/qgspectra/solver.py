@@ -34,33 +34,31 @@ with ``SeparatorFailure``.  (a) Rolle parity, on every descent: level m
 is monotone between roots of level m+1, so ``sign(g_m(b) - g_m(a))``
 flips across each simple upper root and repeats across a coincident one;
 differences within the coincidence threshold are not read, and the parity
-is carried across them.  (b) When
-level m+1 is regular, the bound above fixes its root count: the separator
-index at or below each window end, plus one where ``g_{m+1}`` there is
-within the threshold or has the sign opposite to the separator's
-``(-1)**n``.  A table missing an even number of roots below the regular
-level passes both; catching that needs an exact per-level zero count.
+is carried across them.  (b) When level m+1 is regular, the bound above
+fixes its root count: the separator index at or below each window end,
+plus one where ``g_{m+1}`` there is within the threshold or has the sign
+opposite to the separator's ``(-1)**n``.  With no descent (M = 0) the
+count checks level 0 itself.  A table missing an even number of roots
+below the regular level passes both; catching that needs an exact
+per-level zero count.
 
 The bracket around each single sign change is then refined by a
 vectorized safeguarded Halley iteration on the analytic derivatives:
 ``g_m' = s0 * g_{m+1}`` is the next level of the ladder, and
 ``g_m'' = s0**2 * g_{m+2}`` is level m shifted by half a turn, so it reads
-the same cosines as ``g_m``.  One phase matrix per iteration, stacking the
-phases of levels m and m+1, gives all three.  Every bracket runs between
-extrema, of the leading cosine at the regular level and of ``g_m`` on a
-descent, so the iteration starts at the root of the half cosine wave
-through the end values, ``lo + (hi - lo)*arccos((flo + fhi)/(fhi - flo))/pi``,
-which is exact for a pure cosine.  After each evaluation at ``x``, the
-values already in hand test the Halley point ``y``: the quadratic Taylor
-model at ``x``, taken at ``y -+ tol`` with ``tol = root_tol + 4*eps*|y|``,
-must have opposite signs there, each clearing the margin
-``e_0 + |d|*e_1 + d**2*e_2/2 + B_3*|d|**3/6`` plus a few ulps for the
-model's own evaluation.  Here ``d`` is the distance from ``x``, ``e_p`` is
-the rounding bound of the computed ``g_m^(p)`` and ``B_3`` bounds the
-third derivative (``trig.derivative_bounds``, shared with the oracle).
-The bracket holds exactly one root, so that root is then within ``tol``
-of ``y``, and ``y`` is returned; most brackets stop after two
-evaluations.  Where the test fails, Brent's stopping rule (the last step
+the same cosines as ``g_m``.  One ``trig.Derivatives`` per level gives
+all three from one phase matrix per iteration, stacking the phases of
+levels m and m+1, and the rounding bounds the oracle uses too.  Every
+bracket runs between extrema, of the leading cosine at the regular level
+and of ``g_m`` on a descent, so the iteration starts at the root of the
+half cosine wave through the end values,
+``lo + (hi - lo)*arccos((flo + fhi)/(fhi - flo))/pi``, which is exact for
+a pure cosine.  After each evaluation at ``x``, the values already in hand
+test the Halley point ``y``: the quadratic Taylor model at ``x`` must
+certify a sign change of ``g`` within ``tol = root_tol + 4*eps*|y|`` of
+``y`` (``_certifier`` states the margin).  The bracket holds exactly one
+root, so that root is then within ``tol`` of ``y``, and ``y`` is
+returned; most brackets stop after two evaluations.  Where the test fails, Brent's stopping rule (the last step
 within ``tol``) ends the element; at large k, where the rounding of ``g``
 is wider than ``tol``, that is what ends the loop.  A bracket at most
 ``2*root_tol`` wide is not refined: its midpoint is within ``root_tol``
@@ -85,15 +83,12 @@ import numpy as np
 from .trig import (
     UNIT_ROUNDOFF,
     DerivativeLadder,
+    Derivatives,
     TrigSpectralFunction,
     build_ladder,
-    derivative_bounds,
-    derivative_evaluator,
     derivative_level,
-    eval_grid,
     is_regular,
     regularity_sum,
-    rounding_bound,
 )
 
 __all__ = [
@@ -128,7 +123,12 @@ class RefinementStall(RuntimeError):
 
 class SeparatorFailure(RuntimeError):
     """The roots of level ``level + 1`` fail check (a) or (b) on ``interval``;
-    ``values`` is the ``g`` that check read at its ends."""
+    ``values`` is the ``g`` that check read at its ends.
+
+    ``level`` is the level those roots were to separate, so it is -1 when
+    check (b) refuses a regular level 0 (order M = 0), which ``solve_ladder``
+    checks after its sweep since no descent follows.
+    """
 
     def __init__(self, detail: str, interval: tuple[float, float], level: int,
                  values: tuple[float, float]):
@@ -258,7 +258,7 @@ def regular_separators(f: TrigSpectralFunction, k_max: float) -> np.ndarray:
     return ks[(ks > 0.0) & (ks <= k_max)]
 
 
-def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
+def _rtsafe(derivs: Derivatives, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
     """One root inside each sign-change bracket ``[lo, hi]``, all at once.
 
     Every bracket runs between extrema, of the leading cosine or of the
@@ -271,18 +271,14 @@ def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.nd
     gives all three.
 
     After each evaluation at ``x``, an element returns the Halley point
-    ``y`` once the Taylor model at ``x`` certifies a sign change of ``g``
-    within ``tol = root_tol + 4*eps*|y|`` of ``y``: at both ends the model
-    must clear a margin made of the rounding bounds ``e_0``, ``e_1``,
-    ``e_2`` of the computed values, Taylor's remainder ``B_3*|d|**3/6``
-    and a few ulps for the model itself (``_certifier``).  Otherwise the
+    ``y`` once ``_certifier`` proves a sign change of ``g`` within
+    ``tol = root_tol + 4*eps*|y|`` of ``y``.  Otherwise the
     element stops when its last step is within ``tol`` (Brent's default
     stopping rule); at large k, where the rounding of ``g`` is wider than
     ``tol``, that rule is what ends the loop.  Only unfinished elements
     are evaluated again.
     """
-    derivatives = derivative_evaluator(f)
-    certified = _certifier(f, float(hi.max(initial=0.0)), root_tol)
+    certified = _certifier(derivs, float(hi.max(initial=0.0)), root_tol)
     out = np.empty_like(lo)
     idx = np.arange(lo.size)
     neg_lo = flo < 0.0
@@ -290,7 +286,7 @@ def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.nd
     x = lo + (hi - lo) * np.arccos((flo + fhi) / (fhi - flo)) / math.pi
     step = step_old = hi - lo
     for _ in range(_MAX_ITER):
-        gx, dg, d2g = derivatives(x)
+        gx, dg, d2g = derivs(x)
         left = (gx < 0.0) == neg_lo
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
@@ -313,7 +309,7 @@ def _rtsafe(f: TrigSpectralFunction, lo, hi, flo, fhi, root_tol: float) -> np.nd
     raise RefinementStall(f"refinement stall on [{lo[0]}, {hi[0]}] after {_MAX_ITER} iterations")
 
 
-def _certifier(f: TrigSpectralFunction, x_max: float, root_tol: float):
+def _certifier(derivs: Derivatives, x_max: float, root_tol: float):
     """A test of where ``g`` provably has its root within the tolerance of ``y``.
 
     The test reads ``g``, ``g'`` and ``g''`` as computed at ``x`` in
@@ -325,10 +321,11 @@ def _certifier(f: TrigSpectralFunction, x_max: float, root_tol: float):
 
         e_0 + |d|*e_1 + d**2*e_2/2 + B_3*|d|**3/6
 
-    of the true ``g(z)``.  ``e_p`` is the rounding bound of the computed
-    ``g^(p)`` (``trig.rounding_bound``), taken at ``x`` for ``e_0`` and at
-    ``x_max`` for the others, whose terms are tiny at the ``|d|`` where
-    the test can pass.  The last term is Taylor's remainder.  Eight ulps of
+    of the true ``g(z)``.  ``e_p`` is the rounding bound ``derivs.err(p, .)``
+    of the computed ``g^(p)`` (derived in ``trig.Derivatives``), taken at
+    ``x`` for ``e_0`` and at ``x_max`` for the others, whose terms are tiny
+    at the ``|d|`` where the test can pass.  ``B_3 = derivs.B[3]`` bounds
+    the third derivative, so the last term is Taylor's remainder.  Eight ulps of
     ``B_0 + B_1*|d| + B_2*d**2/2``, which bound the model's terms, cover its
     own evaluation.  Where the model clears that margin at both ends with
     the signs of ``g`` at ``lo`` and at ``hi``, ``g`` has a root between
@@ -337,13 +334,12 @@ def _certifier(f: TrigSpectralFunction, x_max: float, root_tol: float):
     the ends must also lie in the bracket, and then that root is within
     ``root_tol + 4*eps*|y|`` of ``y``.
     """
-    bounds = derivative_bounds(f)
-    b = bounds[0]
+    b = derivs.B
     ulps = 8.0 * UNIT_ROUNDOFF
     # The margin past e_0(x), in powers of |d|.
     c0 = ulps * b[0]
-    c1 = rounding_bound(bounds, 1, x_max) + ulps * b[1]
-    c2 = 0.5 * (rounding_bound(bounds, 2, x_max) + ulps * b[2])
+    c1 = derivs.err(1, x_max) + ulps * b[1]
+    c2 = 0.5 * (derivs.err(2, x_max) + ulps * b[2])
     c3 = b[3] / 6.0
 
     def certified(x, g, dg, d2g, y, lo, hi, neg_lo) -> np.ndarray:
@@ -351,7 +347,7 @@ def _certifier(f: TrigSpectralFunction, x_max: float, root_tol: float):
         z0, z1 = y - t, y + t
         d0, d1 = z0 - x, z1 - x
         r = np.maximum(np.abs(d0), np.abs(d1))
-        margin = rounding_bound(bounds, 0, x) + (c0 + r * (c1 + r * (c2 + r * c3)))
+        margin = derivs.err(0, x) + (c0 + r * (c1 + r * (c2 + r * c3)))
         half = 0.5 * d2g
         # Positive where the model has the sign of g at lo (at z0) or at hi (at z1).
         side = 1.0 - 2.0 * neg_lo
@@ -362,9 +358,10 @@ def _certifier(f: TrigSpectralFunction, x_max: float, root_tol: float):
     return certified
 
 
-def _sweep(f: TrigSpectralFunction, boundaries: np.ndarray, cfg: SolverConfig, level: int,
+def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level: int,
            upper_coincident: np.ndarray | None = None) -> RootTable:
-    """Root table of ``f`` in (0, k_max], bracketed by the given boundary points.
+    """Root table of ``f = derivs.f`` in (0, k_max], bracketed by the given
+    boundary points.
 
     Boundaries are either regular-level separators (``upper_coincident`` is
     None) or the roots of the level above with its ``coincident`` column; in
@@ -375,11 +372,11 @@ def _sweep(f: TrigSpectralFunction, boundaries: np.ndarray, cfg: SolverConfig, l
     lower edge is the trivial zero at k=0, which is excluded from the
     counting, while one at ``k_max`` is recorded as a root.
     """
-    thresh = cfg.coincidence_tol * (1.0 + regularity_sum(f))
+    thresh = cfg.coincidence_tol * (1.0 + regularity_sum(derivs.f))
     lo, hi = cfg.root_tol, cfg.k_max
     inside = (lo < boundaries) & (boundaries < hi)
     pts = np.concatenate(([lo], boundaries[inside], [hi]))
-    vals = eval_grid(f, pts)
+    vals = derivs.g(pts)
     small = np.abs(vals) <= thresh
 
     coinc = np.zeros(pts.size, dtype=bool)
@@ -406,7 +403,7 @@ def _sweep(f: TrigSpectralFunction, boundaries: np.ndarray, cfg: SolverConfig, l
     nv, iv = iv[narrow], iv[~narrow]
     interior = np.concatenate((
         0.5 * (pts[nv] + pts[nv + 1]),
-        _rtsafe(f, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol),
+        _rtsafe(derivs, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol),
     ))
 
     ks = np.concatenate((pts[coinc], interior, pts[-1:] if edge else pts[:0]))
@@ -426,20 +423,27 @@ def descend_level(
     of ``f_lower`` over the same window; if that level is regular, its
     size is checked first by the count (b).
     """
-    level = upper_roots.level - 1
+    derivs = Derivatives(f_lower)
     f_upper = derivative_level(f_lower, 1)
     if is_regular(f_upper):
-        ends = np.array([cfg.root_tol, cfg.k_max])
-        g = eval_grid(f_upper, ends)
-        n = np.floor(ends / (math.pi / f_upper.s0) - f_upper.gamma0)
-        thresh = cfg.coincidence_tol * (1.0 + regularity_sum(f_upper))
-        rank = n + ((np.abs(g) <= thresh) | ((g < 0.0) != (n % 2 == 1)))
-        if len(upper_roots) != rank[1] - rank[0]:
-            raise SeparatorFailure(
-                f"the regular level above holds {len(upper_roots)} roots, its "
-                f"separators give {int(rank[1] - rank[0])}",
-                (cfg.root_tol, cfg.k_max), level, tuple(g.tolist()))
-    return _sweep(f_lower, upper_roots.ks, cfg, level, upper_roots.coincident)
+        # Level 1 of f_lower is f_upper, bitwise.
+        _check_count(f_upper, upper_roots, derivs.g((cfg.root_tol, cfg.k_max), 1), cfg)
+    return _sweep(derivs, upper_roots.ks, cfg, upper_roots.level - 1, upper_roots.coincident)
+
+
+def _check_count(f: TrigSpectralFunction, roots: RootTable, g: np.ndarray,
+                 cfg: SolverConfig) -> None:
+    """Check (b): the table ``roots`` of the regular ``f`` holds as many roots
+    as its separators give, ``g`` being ``f`` at ``(root_tol, k_max)``."""
+    ends = np.array([cfg.root_tol, cfg.k_max])
+    n = np.floor(ends / (math.pi / f.s0) - f.gamma0)
+    thresh = cfg.coincidence_tol * (1.0 + regularity_sum(f))
+    rank = n + ((np.abs(g) <= thresh) | ((g < 0.0) != (n % 2 == 1)))
+    if len(roots) != rank[1] - rank[0]:
+        raise SeparatorFailure(
+            f"the regular level above holds {len(roots)} roots, its "
+            f"separators give {int(rank[1] - rank[0])}",
+            (cfg.root_tol, cfg.k_max), roots.level - 1, tuple(g.tolist()))
 
 
 def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
@@ -460,8 +464,12 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
         )
     ladder = build_ladder(f, cfg.max_order)
     order = ladder.order
+    top = Derivatives(ladder.top)
     seps = regular_separators(ladder.top, cfg.k_max)
-    tables = [_sweep(ladder.top, seps, cfg, order)]
+    tables = [_sweep(top, seps, cfg, order)]
+    if order == 0:
+        # No descent checks level 0 against its separators, so check it here.
+        _check_count(ladder.top, tables[0], top.g((cfg.root_tol, cfg.k_max)), cfg)
     for m in range(order - 1, -1, -1):
         tables.append(descend_level(ladder[m], tables[-1], cfg))
     return LadderSolution(ladder=ladder, tables=tuple(tables))

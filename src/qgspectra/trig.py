@@ -26,6 +26,11 @@ values do not depend on the block size or on which caller asks.  Blocks
 hold about ``2**16`` matrix elements, which spreads numpy's per-call cost
 over many cosines without ever allocating a ``(T+1) x N`` temporary for a
 long grid.  ``np.cos`` is the only transcendental function evaluated.
+
+``Derivatives(f)``, built once per function, holds the kernel's columns of
+``f`` and of its level 1.  It gives ``g``, ``g'``, ``g''`` and their
+rounding bounds, and its ``g`` method is the level-0 fold behind
+``eval_grid``.
 """
 
 from __future__ import annotations
@@ -45,9 +50,7 @@ __all__ = [
     "normalize",
     "evaluate",
     "eval_grid",
-    "derivative_evaluator",
-    "derivative_bounds",
-    "rounding_bound",
+    "Derivatives",
     "UNIT_ROUNDOFF",
     "derivative_level",
     "regularity_sum",
@@ -228,12 +231,6 @@ def normalize(
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _columns(f: TrigSpectralFunction) -> np.ndarray:
-    """Rows of actions, phases and amplitudes, leading term first."""
-    rows = [(f.s0, f.gamma0, 1.0)] + [(t.s, t.gamma, t.a) for t in f.terms]
-    return np.array(rows).T
-
-
 def _cosine_blocks(s: np.ndarray, pg: np.ndarray, x: np.ndarray):
     """Yield ``(slice, C)`` over blocks of the flat points ``x``, where
     ``C[i, j] = cos(s[i]*x[j] - pg[i])`` is one block of the phase matrix."""
@@ -245,63 +242,24 @@ def _cosine_blocks(s: np.ndarray, pg: np.ndarray, x: np.ndarray):
         yield block, np.cos(c, out=c)
 
 
-def eval_grid(f: TrigSpectralFunction, ks) -> np.ndarray:
-    """Values of the cosine sum at an array of points, of the same shape."""
-    ks = np.asarray(ks, dtype=float)
-    s, gamma, a = _columns(f)
-    x = ks.ravel()
-    out = np.empty(x.size)
-    for block, c in _cosine_blocks(s, _PI * gamma, x):
-        c *= a[:, None]
-        np.subtract.reduce(c, axis=0, out=out[block])
-    return out.reshape(ks.shape)
-
-
-def derivative_evaluator(f: TrigSpectralFunction):
-    """A function of 1-d points ``x`` returning ``g``, ``g'`` and ``g''`` there.
-
-    Each call evaluates one cosine matrix that stacks the phases of ``f``
-    and of its level 1, so ``g`` and ``g'`` are bitwise ``eval_grid(f, x)``
-    and ``f.s0 * eval_grid(derivative_level(f, 1), x)``.  Level 2 is level 0
-    shifted by half a turn, so ``g'' = -s0**2 * (C_0 - sum_j a_j r_j**2 C_j)``
-    with ``r_j = s_j/s0`` reads the cosines ``C`` of level 0 again.  The
-    stacked columns are built once, when the evaluator is made.
-    """
-    s, gamma, a = _columns(f)
-    r = s / f.s0
-    n = s.size
-    actions = np.concatenate((s, s))
-    phases = _PI * np.concatenate((gamma, gamma - 0.5))
-    amplitudes = np.concatenate((a, a * r))[:, None]
-    damping = (r * r)[:, None]
-    s0 = f.s0
-
-    def values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        out = np.empty((3, x.size))
-        for block, c in _cosine_blocks(actions, phases, x):
-            c *= amplitudes
-            np.subtract.reduce(c[:n], axis=0, out=out[0, block])
-            np.subtract.reduce(c[n:], axis=0, out=out[1, block])
-            c[:n] *= damping
-            np.subtract.reduce(c[:n], axis=0, out=out[2, block])
-        g, g1, g2 = out
-        return g, s0 * g1, -(s0 * s0) * g2
-
-    return values
-
-
 # Unit roundoff of binary64.
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def derivative_bounds(f: TrigSpectralFunction) -> tuple[list[float], list[float]]:
-    """``B_p = sum_i |a_i| s_i**p`` and ``C_p`` for p = 0..3, over every
-    term, the leading one included.
+class Derivatives:
+    """``g``, ``g'`` and ``g''`` of one cosine sum, and bounds on their rounding.
 
-    ``B_p`` bounds ``|g^(p)|`` everywhere.  With them,
-    ``rounding_bound`` bounds how far the p-th derivative computed by
-    ``derivative_evaluator(f)`` lies from the true one at the same float
-    point ``x``:
+    The columns of ``f`` and of its level 1 are stacked once, when it is
+    built.  Calling it on 1-d points ``x`` evaluates one cosine matrix of
+    both levels, so ``g`` and ``g'`` are bitwise ``self.g(x)``
+    and ``f.s0 * self.g(x, 1)``.  Level 2 is level 0 shifted by half a
+    turn, so ``g'' = -s0**2 * (C_0 - sum_j a_j r_j**2 C_j)`` with
+    ``r_j = s_j/s0`` reads the cosines ``C`` of level 0 again.
+
+    ``B[p] = sum_i |a_i| s_i**p`` for p = 0..3, over every term, the leading
+    one included, bounds ``|g^(p)|`` everywhere.  With ``C_p`` below,
+    ``err(p, x)`` bounds how far the p-th derivative computed here lies
+    from the true one at the same float point ``x >= 0``:
 
         err_p(x) = u * sum_i |a_i| s_i**p * (s_i |x| + pi(|gamma_i| + 1) + T + 3)
                  = u * (B_{p+1} |x| + C_p).
@@ -309,24 +267,62 @@ def derivative_bounds(f: TrigSpectralFunction) -> tuple[list[float], list[float]
     Each phase is off by about an ulp of each of its parts, the cosine and
     the amplitude product by an ulp each, and the fold over the ``T + 1``
     terms by ``T`` more (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 3).
+    Algorithms*, ch. 3).  ``B_p`` and ``C_p`` are summed with ``math.fsum``.
     """
-    s, gamma, a = _columns(f)
-    span = _PI * (np.abs(gamma) + 1.0) + (f.n_terms + 3)
-    weights = np.abs(a)
-    b, c = [], []
-    for _ in range(4):
-        b.append(math.fsum(weights.tolist()))
-        c.append(math.fsum((weights * span).tolist()))
-        weights = weights * s
-    return b, c
+
+    def __init__(self, f: TrigSpectralFunction):
+        rows = [(f.s0, f.gamma0, 1.0)] + [(t.s, t.gamma, t.a) for t in f.terms]
+        s, gamma, a = np.array(rows).T
+        r = s / f.s0
+        self.f = f
+        self._n = s.size
+        self._actions = np.concatenate((s, s))
+        self._phases = _PI * np.concatenate((gamma, gamma - 0.5))
+        self._amplitudes = np.concatenate((a, a * r))[:, None]
+        self._damping = (r * r)[:, None]
+        span = _PI * (np.abs(gamma) + 1.0) + (f.n_terms + 3)
+        weights = np.abs(a)
+        b, c = [], []
+        for _ in range(4):
+            b.append(math.fsum(weights.tolist()))
+            c.append(math.fsum((weights * span).tolist()))
+            weights = weights * s
+        self.B = tuple(b)
+        self._c = tuple(c)
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = self._n
+        out = np.empty((3, x.size))
+        for block, c in _cosine_blocks(self._actions, self._phases, x):
+            c *= self._amplitudes
+            np.subtract.reduce(c[:n], axis=0, out=out[0, block])
+            np.subtract.reduce(c[n:], axis=0, out=out[1, block])
+            c[:n] *= self._damping
+            np.subtract.reduce(c[:n], axis=0, out=out[2, block])
+        g, g1, g2 = out
+        s0 = self.f.s0
+        return g, s0 * g1, -(s0 * s0) * g2
+
+    def g(self, ks, level: int = 0) -> np.ndarray:
+        """Values of ladder level 0 (``g``) or 1 (``g'/s0``) at an array of
+        points, of the same shape."""
+        ks = np.asarray(ks, dtype=float)
+        rows = slice(level * self._n, (level + 1) * self._n)
+        x = ks.ravel()
+        out = np.empty(x.size)
+        for block, c in _cosine_blocks(self._actions[rows], self._phases[rows], x):
+            c *= self._amplitudes[rows]
+            np.subtract.reduce(c, axis=0, out=out[block])
+        return out.reshape(ks.shape)
+
+    def err(self, p: int, x):
+        """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)`` at ``x >= 0``."""
+        return UNIT_ROUNDOFF * (self.B[p + 1] * x + self._c[p])
 
 
-def rounding_bound(bounds: tuple[list[float], list[float]], p: int, x):
-    """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)`` at ``x >= 0``,
-    from the ``(B, C)`` of ``derivative_bounds``."""
-    b, c = bounds
-    return UNIT_ROUNDOFF * (b[p + 1] * x + c[p])
+def eval_grid(f: TrigSpectralFunction, ks) -> np.ndarray:
+    """Values of the cosine sum at an array of points, of the same shape."""
+    return Derivatives(f).g(ks)
 
 
 def evaluate(f: TrigSpectralFunction, k: float) -> float:

@@ -326,6 +326,25 @@ class TestFailureModes:
         assert "separator failure at level 0 on (1e-12, 4.0): the regular level above" in err
         assert re.search(r"; g = \S+, \S+ at the ends$", err.strip())
 
+    def test_regular_level_zero_is_counted(self, capsys, monkeypatch):
+        # specs/trig.yaml is regular at level 0 (M = 0), so no descent
+        # checks its table; with every other separator it still fails.
+        separators = solver.regular_separators
+        monkeypatch.setattr(solver, "regular_separators",
+                            lambda f, k_max: separators(f, k_max)[::2])
+        rc, out, err = run(capsys, ["solve", "--graph", str(SPECS_DIR / "trig.yaml")])
+        assert (rc, out) == (2, "")
+        assert "separator failure at level -1 on (1e-12, 40.0)" in err
+        assert "separators give 76" in err
+
+    def test_unwritable_out_file(self, capsys, star_file, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        argv = ["solve", "--graph", star_file, "--kmax", "4", "--out", str(path)]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("qgspectra: error: ")
+        assert str(path) in err
+
     @pytest.mark.parametrize("argv", [
         ["order", "--tol", "5"],
         ["order", "--coincidence-tol", "7"],

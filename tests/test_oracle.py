@@ -9,10 +9,10 @@ import pytest
 
 import qgspectra.oracle
 from qgspectra import (
+    Derivatives,
     RootTable,
     SolverConfig,
     compare,
-    derivative_evaluator,
     normalize,
     random_star,
     regularity_sum,
@@ -28,9 +28,9 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
     The start cells, bounds and per-element arithmetic are those of the
     batched scan, with scalar control flow: each cell is classified on its
     own and either settled or split into two that are classified next.
-    ``g``, ``g'`` and ``g''`` all come from one-point ``derivative_evaluator``
-    calls, refinement included, so the comparison also holds the batched
-    scan's ``eval_grid`` calls to the evaluator's bits.
+    ``g``, ``g'`` and ``g''`` all come from one-point ``Derivatives`` calls,
+    refinement included, so the comparison also holds the batched scan's
+    ``Derivatives.g`` calls to the stacked evaluation's bits.
     """
     lo, hi = window
     u = 2.0 ** -53
@@ -44,7 +44,7 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
         weights = [w * s for w, (s, _, _) in zip(weights, rows)]
     scale = 1.0 + regularity_sum(f)
     step = math.pi / (4.0 * f.s0)
-    values = derivative_evaluator(f)
+    values = Derivatives(f)
 
     def point(x):
         return [float(v[0]) for v in values(np.array([x]))]
@@ -242,15 +242,15 @@ def refine_calls(monkeypatch, f, window):
     refine = qgspectra.oracle._refine
     log = []
 
-    def counted(values, bounds, p, lo, hi, flo, tol):
+    def counted(d, p, lo, hi, flo, tol):
         order = np.argsort(lo)
         calls = np.zeros(lo.size, dtype=int)
 
         def tally(x):
             calls[order[np.searchsorted(lo[order], x, side="right") - 1]] += 1
-            return values(x)
+            return d(x)
 
-        out = refine(tally, bounds, p, lo, hi, flo, tol)
+        out = refine(FakeDerivatives(tally, d.B, d.err), p, lo, hi, flo, tol)
         log.append((p, lo, hi, out, calls))
         return out
 
@@ -265,9 +265,19 @@ def mp_function(mpmath, f):
     return lambda x: -mpmath.fsum(a * mpmath.cos(s * x - mpmath.pi * g) for s, g, a in rows)
 
 
-class TestRefine:
-    NO_ROUNDING = ([0.0] * 4, [0.0] * 4)
+class FakeDerivatives:
+    """Stands in for ``trig.Derivatives`` in ``_refine``: ``values(x)`` gives
+    ``g``, ``g'`` and ``g''``, ``B`` the derivative bounds and ``err`` the
+    rounding bound; both bounds are zero unless given."""
 
+    def __init__(self, values, B=(0.0,) * 4, err=lambda p, x: 0.0):
+        self.values, self.B, self.err = values, B, err
+
+    def __call__(self, x):
+        return self.values(x)
+
+
+class TestRefine:
     def test_exact_zero_at_a_midpoint_is_returned(self):
         calls = []
 
@@ -275,7 +285,7 @@ class TestRefine:
             calls.append(x)
             return x - 0.5, np.zeros_like(x), np.zeros_like(x)
 
-        out = qgspectra.oracle._refine(values, self.NO_ROUNDING, 0, np.array([0.0]),
+        out = qgspectra.oracle._refine(FakeDerivatives(values), 0, np.array([0.0]),
                                        np.array([1.0]), np.array([-0.5]), 1e-12)
         assert out.tolist() == [0.5]
         assert len(calls) == 1
@@ -295,7 +305,7 @@ class TestRefine:
             return x - roots[cell], slopes[cell], np.zeros_like(x)
 
         tol = 1e-12
-        out = qgspectra.oracle._refine(values, self.NO_ROUNDING, 0, lo, hi, lo - roots, tol)
+        out = qgspectra.oracle._refine(FakeDerivatives(values), 0, lo, hi, lo - roots, tol)
         assert np.all(np.abs(out - roots) <= tol)
         assert batches[0] == 3 and set(batches[1:]) == {1}
         assert len(batches) == math.ceil(math.log2(1.0 / tol))
@@ -326,7 +336,7 @@ class TestRefine:
             return x - root, np.zeros_like(x), np.zeros_like(x)
 
         tol = 1e-12
-        out = qgspectra.oracle._refine(values, self.NO_ROUNDING, 0, np.array([lo]),
+        out = qgspectra.oracle._refine(FakeDerivatives(values), 0, np.array([lo]),
                                        np.array([hi]), np.array([lo - root]), tol)
         assert abs(out[0] - root) <= tol
         assert len(calls) == math.ceil(math.log2((hi - lo) / tol)) + 1
@@ -335,10 +345,9 @@ class TestRefine:
         log = refine_calls(monkeypatch, worked_chain, (1490.0, 1500.0))
         (_, lo, hi, _, calls), = [entry for entry in log if entry[0] == 0]
         # The cell rule for a proven-monotone cell, read at both ends.
-        bounds = qgspectra.trig.derivative_bounds(worked_chain)
-        values = derivative_evaluator(worked_chain)
-        slope = np.maximum(np.abs(values(lo)[1]), np.abs(values(hi)[1]))
-        mono = slope > bounds[0][2] * (hi - lo) + qgspectra.trig.rounding_bound(bounds, 1, hi)
+        d = Derivatives(worked_chain)
+        slope = np.maximum(np.abs(d(lo)[1]), np.abs(d(hi)[1]))
+        mono = slope > d.B[2] * (hi - lo) + d.err(1, hi)
         assert mono.sum() >= 50
         assert calls[mono].max() <= 8
 
@@ -349,14 +358,14 @@ class TestRefine:
                  (worked_chain, (1490.0, 1500.0))]
         for f, window in cases:
             g = mp_function(mpmath, f)
-            bounds = qgspectra.trig.derivative_bounds(f)
+            d = Derivatives(f)
             (_, lo, hi, out, _), = [entry for entry in refine_calls(monkeypatch, f, window)
                                     if entry[0] == 0]
             with mpmath.workdps(50):
                 for x, a, z in zip(out.tolist(), lo.tolist(), hi.tolist()):
                     root = mpmath.findroot(g, mpmath.mpf(x))
                     assert a <= root <= z
-                    err0 = qgspectra.trig.rounding_bound(bounds, 0, x)
+                    err0 = d.err(0, x)
                     slack = max(tol, 2.0 * err0 / abs(float(mpmath.diff(g, root))))
                     assert abs(x - float(root)) <= slack
 
@@ -365,14 +374,14 @@ class TestRefine:
         # at the midpoint, within err_0 = 1e-9 of zero.  Halving on that
         # sign would drop the root; the enclosure 0.5 - (3e-10 +- 1e-9)
         # keeps it, and its midpoint is returned after one call.
-        bounds = ([0.0] * 4, [1e-9 / 2.0 ** -53, 0.0, 0.0, 0.0])
         calls = []
 
         def values(x):
             calls.append(x)
             return x - 0.5 + 3e-10 - 5e-10 * (x != 0.5), np.ones_like(x), np.zeros_like(x)
 
-        out = qgspectra.oracle._refine(values, bounds, 0, np.array([0.0]), np.array([1.0]),
+        d = FakeDerivatives(values, err=lambda p, x: 1e-9 if p == 0 else 0.0)
+        out = qgspectra.oracle._refine(d, 0, np.array([0.0]), np.array([1.0]),
                                        np.array([-0.5]), 1e-12)
         assert len(calls) == 1
         assert out[0] == pytest.approx(0.5 - 3e-10, abs=1e-15)

@@ -1,11 +1,12 @@
 import math
 import random
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgspectra import solver
+from qgspectra import solver, trig
 from qgspectra import (
     INTERIOR,
     SEPARATOR_COINCIDENCE,
@@ -17,6 +18,7 @@ from qgspectra import (
     TrigSpectralFunction,
     descend_level,
     eval_grid,
+    load_graph_spec,
     normalize,
     random_chain,
     random_star,
@@ -24,6 +26,9 @@ from qgspectra import (
     scan_roots,
     solve_ladder,
 )
+
+
+SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
 
 
 def pure_cosine(s0=2.0, gamma0=0.0):
@@ -301,24 +306,21 @@ class TestDescend:
         # From the arc start, nearly every bracket is certified after three
         # evaluations on the regular level 1 and after two on level 0.
         # Newton's method (g'' zeroed) needs more evaluations.
-        make = solver.derivative_evaluator
-
         def calls(newton):
             levels = []
 
-            def counting(f):
-                values = make(f)
-                sizes = []
-                levels.append(sizes)
+            class Counting(solver.Derivatives):
+                def __init__(self, f):
+                    super().__init__(f)
+                    self.sizes = []
+                    levels.append(self.sizes)
 
-                def counted(x):
-                    sizes.append(x.size)
-                    g, dg, d2g = values(x)
+                def __call__(self, x):
+                    self.sizes.append(x.size)
+                    g, dg, d2g = super().__call__(x)
                     return g, dg, 0.0 * d2g if newton else d2g
 
-                return counted
-
-            monkeypatch.setattr(solver, "derivative_evaluator", counting)
+            monkeypatch.setattr(solver, "Derivatives", Counting)
             sol = solve_ladder(worked_star, SolverConfig(k_max=200.0))
             # The first call of each level takes every bracket.
             assert [sizes[0] for sizes in levels] == [int((~t.coincident).sum())
@@ -336,6 +338,27 @@ class TestDescend:
         near_pi = [e for e in sol.spectrum if abs(e.k - math.pi) < 1e-6]
         assert len(near_pi) == 1
         assert near_pi[0].kind == SEPARATOR_COINCIDENCE
+
+
+def test_one_derivatives_per_sweep_level_and_per_scan(monkeypatch, worked_star):
+    # Each level's evaluator and rounding bounds are built once and shared
+    # by its sweep, refinement, certified stop and count check.
+    built = []
+    init = trig.Derivatives.__init__
+
+    def counting(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(trig.Derivatives, "__init__", counting)
+    for f, order in ((worked_star, 1), (pure_cosine(), 0)):
+        built.clear()
+        sol = solve_ladder(f, SolverConfig(k_max=50.0))
+        assert sol.ladder.order == order
+        assert built == list(reversed(sol.ladder.levels))
+        built.clear()
+        scan_roots(f, (0.0, 50.0))
+        assert built == [f]
 
 
 class TestCertifiedStop:
@@ -437,6 +460,20 @@ class TestSeparatorChecks:
                     descend_level(sol.ladder[order - 1], dropped(upper, *rows), cfg)
                 assert exc_info.value.interval == (cfg.root_tol, cfg.k_max)
                 assert exc_info.value.level == order - 1
+
+    @pytest.mark.parametrize("keep", [slice(None, None, 2), slice(0, 0)])
+    @pytest.mark.parametrize("spec, order", [("trig.yaml", 0), ("star.yaml", 1)])
+    def test_regular_count_runs_at_every_order(self, monkeypatch, spec, order, keep):
+        # With every other separator, or none, the regular level loses
+        # roots.  The count refuses that table whether a descent follows
+        # (M = 1) or not (M = 0).
+        loaded = load_graph_spec(str(SPECS_DIR / spec))
+        separators = solver.regular_separators
+        monkeypatch.setattr(solver, "regular_separators",
+                            lambda f, k_max: separators(f, k_max)[keep])
+        with pytest.raises(SeparatorFailure, match="separators give") as exc_info:
+            solve_ladder(loaded.function, SolverConfig(**loaded.solver_overrides))
+        assert exc_info.value.level == order - 1
 
     def test_window_end_on_or_beside_a_root(self, worked_star):
         # The count's end decisions follow the sweep's edge rules, so a

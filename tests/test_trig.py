@@ -13,8 +13,8 @@ from qgspectra import (
     OrderCapError,
     Term,
     TrigSpectralFunction,
+    Derivatives,
     build_ladder,
-    derivative_evaluator,
     derivative_level,
     eval_grid,
     evaluate,
@@ -272,9 +272,11 @@ class TestDerivatives:
         width = trig._BLOCK_ELEMENTS // (2 * rows)
         for n in (0, 1, width - 1, width, width + 1):
             x = np.linspace(0.0, 60.0, n)
-            g, dg, d2g = derivative_evaluator(f)(x)
+            d = Derivatives(f)
+            g, dg, d2g = d(x)
             assert_bitwise(g, eval_grid(f, x))
             assert_bitwise(dg, f.s0 * eval_grid(derivative_level(f, 1), x))
+            assert_bitwise(d.g(x, 1), eval_grid(derivative_level(f, 1), x))
             curvature = f.s0 ** 2 * eval_grid(derivative_level(f, 2), x)
             scale = f.s0 ** 2 * (1.0 + regularity_sum(f))
             assert np.allclose(d2g, curvature, rtol=0.0, atol=1e-13 * scale)
@@ -283,20 +285,20 @@ class TestDerivatives:
         f = KERNEL_FNS[4]
         x = np.linspace(0.5, 9.5, 37)
         h = 1e-4
-        _, _, d2g = derivative_evaluator(f)(x)
+        _, _, d2g = Derivatives(f)(x)
         fd = (eval_grid(f, x + h) - 2.0 * eval_grid(f, x) + eval_grid(f, x - h)) / h**2
         assert np.allclose(d2g, fd, rtol=0.0, atol=1e-5 * f.s0 ** 2)
 
     @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
     def test_rounding_bound_covers_the_evaluator(self, rows):
         # Against 30-digit values at the same float points, each computed
-        # g^(p) is within rounding_bound, and B_p bounds its size.
+        # g^(p) is within err(p, k), and B_p bounds its size.
         mpmath = pytest.importorskip("mpmath")
         f = derivative_level(KERNEL_FNS[rows], 1)
-        bounds = trig.derivative_bounds(f)
+        d = Derivatives(f)
         x = np.concatenate((np.linspace(0.0, 50.0, 21), 1e4 + np.linspace(0.0, 5.0, 11),
                             1e7 + np.linspace(0.0, 1.0, 5)))
-        computed = derivative_evaluator(f)(x)
+        computed = d(x)
         rows_mp = [(mpmath.mpf(s), mpmath.pi * g, mpmath.mpf(a)) for s, g, a in
                    [(f.s0, f.gamma0, -1.0)] + [tuple(t) for t in f.terms]]
         with mpmath.workdps(30):
@@ -305,8 +307,8 @@ class TestDerivatives:
                     # d^p/dk^p cos(s*k - c) = s**p * cos(s*k - c + p*pi/2)
                     exact = -mpmath.fsum(a * s ** p * mpmath.cos(s * k - pg + p * mpmath.pi / 2)
                                          for s, pg, a in rows_mp)
-                    assert abs(computed[p][i] - exact) <= trig.rounding_bound(bounds, p, k)
-                    assert abs(computed[p][i]) <= bounds[0][p] * (1.0 + 1e-12)
+                    assert abs(computed[p][i] - exact) <= d.err(p, k)
+                    assert abs(computed[p][i]) <= d.B[p] * (1.0 + 1e-12)
 
 
 class TestDerivativeLadder:

@@ -27,6 +27,7 @@ with repr-faithful 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import Sequence
@@ -41,7 +42,7 @@ from .solver import (
     solve_ladder,
 )
 from .specfile import LoadedSpec, load_graph_spec
-from .trig import OrderCapError, build_ladder, eval_grid, regularity_sum
+from .trig import Derivatives, OrderCapError, build_ladder, regularity_sum
 
 __all__ = ["main"]
 
@@ -130,7 +131,7 @@ def _resolve_config(spec: LoadedSpec, args, root_tol: float | None) -> SolverCon
     settings = _settings(spec, k_max=args.kmax, root_tol=root_tol,
                          coincidence_tol=args.coincidence_tol, max_order=args.max_order)
     if "k_max" not in settings:
-        _fail_usage("no search window: pass --kmax or set solver.k_max in the file")
+        raise ValueError("no search window: pass --kmax or set solver.k_max in the file")
     return SolverConfig(**settings)
 
 
@@ -141,10 +142,11 @@ def _ladder(spec: LoadedSpec, args):
     return build_ladder(spec.function, **cap)
 
 
-def _open_out(path: str | None):
+def _output(path: str | None):
+    """``--out``'s file, opened for writing and closed on leaving, or stdout."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _cmd_solve(args) -> int:
@@ -157,12 +159,8 @@ def _cmd_solve(args) -> int:
     csv = "".join(
         f"{n},{_g17(k)},{_g17(k * k)},{kinds[c]}\n" for n, (k, c) in enumerate(rows, start=1)
     )
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("n,k,E,kind\n" + csv)
-    finally:
-        if close:
-            out.close()
     print(
         f"order M={solution.ladder.order}; {len(solution.spectrum)} roots "
         f"in (0, {cfg.k_max:g}]",
@@ -182,6 +180,9 @@ def _cmd_order(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_graph_spec(args.graph)
     compare_tol = args.tol if args.tol is not None else _DEFAULT_COMPARE_TOL
+    # A nan tolerance would pass every deviation: compare's dev > nan is false.
+    if not (math.isfinite(compare_tol) and compare_tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {compare_tol}")
     cfg = _resolve_config(spec, args, None)
     solution = solve_ladder(spec.function, cfg)
     ks = solution.spectrum.ks
@@ -215,12 +216,12 @@ def _cmd_verify(args) -> int:
 def _grid_rows(kmin: float, kmax: float, step: float) -> int:
     """Number of rows of the ``--kmin``/``--kmax``/``--step`` grid."""
     if not all(map(math.isfinite, (kmin, kmax, step))):
-        _fail_usage("grid needs finite kmin, kmax and step")
+        raise ValueError("grid needs finite kmin, kmax and step")
     if step <= 0.0 or kmax <= kmin:
-        _fail_usage("grid needs step > 0 and kmax > kmin")
+        raise ValueError("grid needs step > 0 and kmax > kmin")
     steps = (kmax - kmin) / step
     if not math.isfinite(steps):
-        _fail_usage(f"grid from {kmin} to {kmax} by {step} has too many rows")
+        raise ValueError(f"grid from {kmin} to {kmax} by {step} has too many rows")
     # Whole steps that fit below kmax; a kmax a whole number of steps from
     # kmin stays on the grid despite rounding in the quotient.
     return math.floor(steps + 1e-9) + 1
@@ -230,12 +231,12 @@ def _cmd_eval(args) -> int:
     spec = load_graph_spec(args.graph)
     if args.k:
         if not all(map(math.isfinite, args.k)):
-            _fail_usage("evaluation points must be finite")
+            raise ValueError("evaluation points must be finite")
         blocks = [list(args.k)]
     else:
         kmax = _settings(spec, k_max=args.kmax).get("k_max")
         if kmax is None or args.step is None:
-            _fail_usage("eval needs --k points, or --kmax with --step")
+            raise ValueError("eval needs --k points, or --kmax with --step")
         kmin, step = args.kmin, args.step
         count = _grid_rows(kmin, kmax, step)
         blocks = (
@@ -243,26 +244,14 @@ def _cmd_eval(args) -> int:
             for start in range(0, count, _EVAL_ROWS)
         )
     ladder = _ladder(spec, args)
-    out, close = _open_out(args.out)
-    try:
-        header = "k," + ",".join(f"g{m}" for m in range(ladder.order + 1))
-        print(header, file=out)
+    levels = [Derivatives(level) for level in ladder.levels]
+    with _output(args.out) as out:
+        print("k," + ",".join(f"g{m}" for m in range(ladder.order + 1)), file=out)
         for ks in blocks:
-            columns = [eval_grid(level, ks).tolist() for level in ladder.levels]
+            columns = [d.g(ks).tolist() for d in levels]
             for row in zip(ks, *columns):
                 print(",".join(map(_g17, row)), file=out)
-    finally:
-        if close:
-            out.close()
     return 0
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _fail_usage(message: str):
-    raise _UsageError(message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -276,7 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SeparatorFailure, OrderCapError, RefinementStall) as exc:
         print(f"qgspectra: solver failure: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ValueError, OSError) as exc:  # SpecFileError is a ValueError
+    except (ValueError, OSError) as exc:  # SpecFileError is a ValueError
         print(f"qgspectra: error: {exc}", file=sys.stderr)
         return 1
 

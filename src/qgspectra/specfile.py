@@ -21,9 +21,16 @@ A description file is a single YAML mapping with a ``kind`` discriminator:
 Any kind may carry an optional ``solver`` map overriding ``k_max``,
 ``root_tol``, ``coincidence_tol``, ``max_order``.
 
+A kind is one ``_KINDS`` entry: its loader and the top-level keys it
+reads.  ``load_graph_spec`` checks those keys, the loader builds the
+function and graph, and the ``solver`` block is read last, in the fixed
+key order above.
+
 Errors raised here are :class:`SpecFileError` and carry the file path and
-the line of the offending element, formatted ``path:line: message``.  JSON
-files parse too (YAML is a superset), with the same anchoring.
+the line of the offending element, formatted ``path:line: message``.  A
+file with several faults reports the first met in that fixed order: keys
+in file order before missing keys, a kind's own keys before ``solver``.
+JSON files parse too (YAML is a superset), with the same anchoring.
 """
 
 from __future__ import annotations
@@ -44,8 +51,9 @@ __all__ = [
     "trig_spec_data",
 ]
 
-_KINDS = ("star", "chain", "trig")
 _SOLVER_KEYS = ("k_max", "root_tol", "coincidence_tol", "max_order")
+_LEADING_KEYS = ("S0", "gamma0")
+_TERM_KEYS = ("S", "gamma", "a")
 
 
 class SpecFileError(ValueError):
@@ -158,112 +166,91 @@ def _num(doc: _Doc, value: Any, *path_t: Any) -> float:
     raise doc.fail(f"expected a number, got {value!r}", *path_t)
 
 
-def _numbers(doc: _Doc, count: int, *path_t: Any) -> tuple[float, ...]:
-    value = _get(doc, *path_t)
+def _numbers(doc: _Doc, value: Any, count: int, *path_t: Any) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise doc.fail(f"expected a list of {count} numbers", *path_t)
     if len(value) != count:
-        raise doc.fail(
-            f"expected {count} entries, got {len(value)}", *path_t
-        )
+        raise doc.fail(f"expected {count} entries, got {len(value)}", *path_t)
     return tuple(_num(doc, v, *path_t, i) for i, v in enumerate(value))
 
 
-def _get(doc: _Doc, *path_t: Any) -> Any:
-    cur = doc.data
-    for p in path_t:
-        cur = cur[p]
-    return cur
+def _finite(doc: _Doc, values: dict[str, float], *path_t: Any) -> tuple[float, ...]:
+    """The values of the map at ``path_t``, in order, each checked finite."""
+    for key, x in values.items():
+        if not math.isfinite(x):
+            raise doc.fail(f"{key} must be finite, got {x}", *path_t, key)
+    return tuple(values.values())
 
 
-def _require_map(doc: _Doc, allowed: tuple[str, ...], *path_t: Any) -> dict:
-    value = _get(doc, *path_t) if path_t else doc.data
+def _mapping(doc: _Doc, value: Any, allowed: tuple | None, required: tuple, *path_t: Any) -> dict:
+    """``value`` (the element at ``path_t``) as a mapping whose keys are all
+    ``allowed`` (any, if None) and include every ``required`` one; errors
+    name the first offending key in file order, then in ``required`` order."""
     if not isinstance(value, dict):
         where = ".".join(str(p) for p in path_t) or "document"
         raise doc.fail(f"{where} must be a mapping", *path_t)
     for key in value:
-        if key not in allowed:
-            raise doc.fail(
-                f"unknown key {key!r} (allowed: {', '.join(allowed)})",
-                *path_t,
-                key,
-            )
+        if allowed is not None and key not in allowed:
+            raise doc.fail(f"unknown key {key!r} (allowed: {', '.join(allowed)})", *path_t, key)
+    for key in required:
+        if key not in value:
+            raise doc.fail(f"missing required key {key!r}", *path_t)
     return value
 
 
-def _require_key(doc: _Doc, container: dict, key: str, *path_t: Any) -> None:
-    if key not in container:
-        raise doc.fail(f"missing required key {key!r}", *path_t)
-
-
-def _solver_overrides(doc: _Doc) -> dict[str, Any]:
-    if "solver" not in doc.data:
+def _solver_overrides(doc: _Doc, data: dict) -> dict[str, Any]:
+    if "solver" not in data:
         return {}
-    block = _require_map(doc, _SOLVER_KEYS, "solver")
+    block = _mapping(doc, data["solver"], _SOLVER_KEYS, (), "solver")
     out: dict[str, Any] = {}
-    for key in ("k_max", "root_tol", "coincidence_tol"):
-        if key in block:
-            v = _num(doc, block[key], "solver", key)
+    # Fixed key order, not file order: it decides which error is reported.
+    for key in _SOLVER_KEYS:
+        if key not in block:
+            continue
+        v = block[key]
+        if key == "max_order":
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise doc.fail(
+                    f"max_order must be a nonnegative integer, got {v!r}", "solver", key
+                )
+        else:
+            v = _num(doc, v, "solver", key)
             if not (math.isfinite(v) and v > 0.0):
                 raise doc.fail(f"{key} must be positive and finite, got {v}", "solver", key)
-            out[key] = v
-    if "max_order" in block:
-        v = block["max_order"]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise doc.fail(
-                f"max_order must be a nonnegative integer, got {v!r}",
-                "solver",
-                "max_order",
-            )
-        out["max_order"] = v
+        out[key] = v
     return out
 
 
-def _load_star(doc: _Doc) -> LoadedSpec:
-    _require_map(doc, ("kind", "L", "lambda", "alpha", "beta", "solver"))
-    data = doc.data
-    by_bond = "L" in data or "lambda" in data
-    by_scale = "alpha" in data or "beta" in data
-    if by_bond and by_scale:
-        raise doc.fail(
-            "give either L with lambda, or alpha with beta, not a mix"
-        )
-    if by_bond:
-        _require_key(doc, data, "L")
-        _require_key(doc, data, "lambda")
-        lengths = _numbers(doc, 3, "L")
-        lambdas = _numbers(doc, 3, "lambda")
-        try:
-            graph = StarGraphSpec.from_bonds(lengths, lambdas)
-        except ValueError as exc:
-            raise doc.fail(str(exc), "L") from exc
-    elif by_scale:
-        _require_key(doc, data, "alpha")
-        _require_key(doc, data, "beta")
-        alpha = _numbers(doc, 3, "alpha")
-        beta = _numbers(doc, 3, "beta")
-        try:
-            graph = StarGraphSpec(alpha, beta)
-        except ValueError as exc:
-            raise doc.fail(str(exc), "alpha") from exc
-    else:
+# What each kind's loader returns: the cosine sum and the graph behind it.
+_Loaded = tuple[TrigSpectralFunction, StarGraphSpec | ChainGraphSpec | None]
+
+# The star's two parameterizations: a pair of keys, each three numbers, and
+# the constructor they feed.
+_STAR_PAIRS = (
+    ("L", "lambda", StarGraphSpec.from_bonds),
+    ("alpha", "beta", StarGraphSpec),
+)
+
+
+def _load_star(doc: _Doc, data: dict) -> _Loaded:
+    given = [pair for pair in _STAR_PAIRS if pair[0] in data or pair[1] in data]
+    if len(given) > 1:
+        raise doc.fail("give either L with lambda, or alpha with beta, not a mix")
+    if not given:
         raise doc.fail("star needs L with lambda, or alpha with beta")
-    return LoadedSpec(
-        kind="star",
-        function=build_star(graph),
-        graph=graph,
-        solver_overrides=_solver_overrides(doc),
-        path=doc.path,
-    )
+    (first, second, construct), = given
+    _mapping(doc, data, None, (first, second))
+    values = [_numbers(doc, data[key], 3, key) for key in (first, second)]
+    try:
+        graph = construct(*values)
+    except ValueError as exc:
+        raise doc.fail(str(exc), first) from exc
+    return build_star(graph), graph
 
 
-def _load_chain(doc: _Doc) -> LoadedSpec:
-    _require_map(doc, ("kind", "actions", "beta", "solver"))
-    data = doc.data
-    _require_key(doc, data, "actions")
-    _require_key(doc, data, "beta")
-    actions = _numbers(doc, 4, "actions")
-    beta = _numbers(doc, 3, "beta")
+def _load_chain(doc: _Doc, data: dict) -> _Loaded:
+    actions = _numbers(doc, data["actions"], 4, "actions")
+    beta = _numbers(doc, data["beta"], 3, "beta")
     for i, s in enumerate(actions[1:], start=1):
         if abs(s) > actions[0]:
             raise doc.fail(
@@ -273,77 +260,58 @@ def _load_chain(doc: _Doc) -> LoadedSpec:
             )
     try:
         graph = ChainGraphSpec(actions, beta)
-        fn = build_chain(graph)
+        return build_chain(graph), graph
     except (ValueError, NormalizeError) as exc:
         raise doc.fail(str(exc), "actions") from exc
-    return LoadedSpec(
-        kind="chain",
-        function=fn,
-        graph=graph,
-        solver_overrides=_solver_overrides(doc),
-        path=doc.path,
-    )
 
 
-def _load_trig(doc: _Doc) -> LoadedSpec:
-    _require_map(doc, ("kind", "leading", "terms", "solver"))
-    data = doc.data
-    _require_key(doc, data, "leading")
-    _require_key(doc, data, "terms")
-    lead = _require_map(doc, ("S0", "gamma0"), "leading")
-    _require_key(doc, lead, "S0", "leading")
-    _require_key(doc, lead, "gamma0", "leading")
-    s0 = _num(doc, lead["S0"], "leading", "S0")
-    gamma0 = _num(doc, lead["gamma0"], "leading", "gamma0")
+def _load_trig(doc: _Doc, data: dict) -> _Loaded:
+    lead = _mapping(doc, data["leading"], _LEADING_KEYS, _LEADING_KEYS, "leading")
+    s0, gamma0 = (_num(doc, lead[key], "leading", key) for key in _LEADING_KEYS)
     if not s0 > 0.0:
         raise doc.fail(f"S0 must be positive, got {s0}", "leading", "S0")
-    terms_raw = _get(doc, "terms")
-    if not isinstance(terms_raw, list):
+    _finite(doc, dict(zip(_LEADING_KEYS, (s0, gamma0))), "leading")
+    terms = data["terms"]
+    if not isinstance(terms, list):
         raise doc.fail("terms must be a list", "terms")
-    triples: list[tuple[float, float, float]] = []
-    for i, entry in enumerate(terms_raw):
-        block = _require_map(doc, ("S", "gamma", "a"), "terms", i)
-        for key in ("S", "gamma", "a"):
-            _require_key(doc, block, key, "terms", i)
-        s = _num(doc, block["S"], "terms", i, "S")
+    triples: list[tuple[float, ...]] = []
+    for i, entry in enumerate(terms):
+        term = _mapping(doc, entry, _TERM_KEYS, _TERM_KEYS, "terms", i)
+        s = _num(doc, term["S"], "terms", i, "S")
         if abs(s) > s0:
-            raise doc.fail(
-                f"|S| = {abs(s)} exceeds S0 = {s0}", "terms", i, "S"
-            )
-        triples.append(
-            (s, _num(doc, block["gamma"], "terms", i, "gamma"), _num(doc, block["a"], "terms", i, "a"))
-        )
+            raise doc.fail(f"|S| = {abs(s)} exceeds S0 = {s0}", "terms", i, "S")
+        gamma, a = (_num(doc, term[key], "terms", i, key) for key in ("gamma", "a"))
+        triples.append(_finite(doc, dict(zip(_TERM_KEYS, (s, gamma, a))), "terms", i))
     try:
-        fn = normalize(s0, gamma0, triples)
+        return normalize(s0, gamma0, triples), None
     except NormalizeError as exc:
         raise doc.fail(str(exc), "terms") from exc
-    return LoadedSpec(
-        kind="trig",
-        function=fn,
-        graph=None,
-        solver_overrides=_solver_overrides(doc),
-        path=doc.path,
-    )
+
+
+# Each kind: its loader, returning (function, graph), the keys it reads
+# besides ``kind`` and ``solver``, and those of them that are required.
+_KINDS = {
+    "star": (_load_star, ("L", "lambda", "alpha", "beta"), ()),
+    "chain": (_load_chain, ("actions", "beta"), ("actions", "beta")),
+    "trig": (_load_trig, ("leading", "terms"), ("leading", "terms")),
+}
 
 
 def load_graph_spec(path: str) -> LoadedSpec:
     """Parse and validate a description file; see the module docstring."""
     doc = _parse_with_marks(path)
-    if not isinstance(doc.data, dict):
-        raise doc.fail("document must be a mapping")
-    if "kind" not in doc.data:
-        raise doc.fail("missing required key 'kind'")
-    kind = doc.data["kind"]
-    if kind not in _KINDS:
+    data = _mapping(doc, doc.data, None, ("kind",))
+    kind = data["kind"]
+    # A list or map kind is unhashable: test the type before the lookup.
+    if not (isinstance(kind, str) and kind in _KINDS):
         raise doc.fail(
             f"unknown kind {kind!r} (expected one of: {', '.join(_KINDS)})",
             "kind",
         )
-    if kind == "star":
-        return _load_star(doc)
-    if kind == "chain":
-        return _load_chain(doc)
-    return _load_trig(doc)
+    load, keys, required = _KINDS[kind]
+    _mapping(doc, data, ("kind", *keys, "solver"), required)
+    function, graph = load(doc, data)
+    return LoadedSpec(kind, function, graph, _solver_overrides(doc, data), doc.path)
 
 
 def trig_spec_data(f: TrigSpectralFunction) -> dict[str, Any]:

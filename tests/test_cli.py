@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qgspectra
-from qgspectra import SolverConfig, build_ladder, eval_grid, load_graph_spec, solve_ladder
+from qgspectra import Derivatives, SolverConfig, build_ladder, load_graph_spec, solve_ladder
 from qgspectra import cli, solver
 from qgspectra.cli import main
 
@@ -148,6 +148,19 @@ class TestVerify:
         assert rc == 0
         assert "verdict: pass" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_must_be_positive_and_finite(self, capsys, star_file, tol, monkeypatch):
+        # nan would pass any deviation, -1 none, and inf any: all are
+        # refused before the solver runs.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved despite a bad --tol")
+
+        monkeypatch.setattr(cli, "solve_ladder", unreachable)
+        rc, out, err = run(capsys, ["verify", "--graph", star_file, "--kmax", "20", "--tol", tol])
+        assert rc == 1
+        assert out == ""
+        assert f"--tol must be positive and finite, got {float(tol)}" in err
+
     def test_counting_law_failure(self, capsys, tmp_path):
         p = tmp_path / "unphysical.yaml"
         p.write_text(UNPHYSICAL_YAML, encoding="utf-8")
@@ -225,12 +238,13 @@ class TestEval:
         assert rc == 0
         sizes = []
 
-        def recording_eval_grid(f, ks):
-            sizes.append(len(ks))
-            return eval_grid(f, ks)
+        class Recording(Derivatives):
+            def g(self, ks, level=0):
+                sizes.append(len(ks))
+                return super().g(ks, level)
 
         monkeypatch.setattr(cli, "_EVAL_ROWS", 6)
-        monkeypatch.setattr(cli, "eval_grid", recording_eval_grid)
+        monkeypatch.setattr(cli, "Derivatives", Recording)
         rc, blocked, _ = run(capsys, argv)
         assert rc == 0 and blocked == whole
         # 21 rows, two ladder levels, at most six rows per call.

@@ -352,3 +352,113 @@ class TestSchemaErrors:
         spec = load_graph_spec(str(path))
         assert spec.kind == "chain"
         assert math.isclose(spec.function.s0, 19.0)
+
+
+_STAR = "kind: star\nalpha: [1.0, 7.0, 11.0]\nbeta: [0.1, 0.2, 0.5]\n"
+_LEADING = "kind: trig\nleading: {S0: 6.0, gamma0: 0.0}\n"
+
+
+class TestLoaderErrors:
+    """One malformed file per row, with the message and line it reports.
+
+    Where a file has several faults the row pins which one wins: unknown
+    keys before missing ones, the graph before the ``solver`` block, and
+    the solver keys in their fixed order, not file order.
+    """
+
+    @pytest.mark.parametrize("text, line, message", [
+        pytest.param("kind: [star]\nalpha: [1.0, 7.0, 11.0]\n", 1,
+                     "unknown kind ['star'] (expected one of: star, chain, trig)", id="list-kind"),
+        pytest.param("kind: {star: 1}\n", 1,
+                     "unknown kind {'star': 1} (expected one of: star, chain, trig)", id="map-kind"),
+        pytest.param("alpha: [1.0, 7.0, 11.0]\nkind:\n", 2,
+                     "unknown kind None (expected one of: star, chain, trig)", id="null-kind"),
+        pytest.param("42\n", 1, "document must be a mapping", id="scalar-document"),
+        pytest.param("extra: 1\n", 1, "missing required key 'kind'", id="no-kind-and-unknown-key"),
+        pytest.param("kind: star\nL: [10.0, 35.0, 22.0]\nbeta: [0.1, 0.2, 0.5]\nflavor: strange\n", 4,
+                     "unknown key 'flavor' (allowed: kind, L, lambda, alpha, beta, solver)",
+                     id="unknown-key-and-mix"),
+        pytest.param("kind: star\nL: [10.0, 35.0, 22.0]\nbeta: [0.1, 0.2, 0.5]\n", 1,
+                     "give either L with lambda, or alpha with beta, not a mix", id="mix"),
+        pytest.param("kind: star\nL: [10.0, 35.0, 22.0]\n", 1,
+                     "missing required key 'lambda'", id="L-only"),
+        pytest.param("kind: star\nlambda: [0.9, 0.5, 0.2]\n", 1,
+                     "missing required key 'L'", id="lambda-only"),
+        pytest.param("kind: star\nL: 10.0\nlambda: [0.99, 0.5, 0.75]\n", 2,
+                     "expected a list of 3 numbers", id="L-scalar"),
+        pytest.param("kind: star\nL: [10.0, 35.0, 22.0]\nlambda: [0.99, 1.5, 0.75]\n", 2,
+                     "potential strength must satisfy 0 <= lambda < 1, got 1.5", id="bad-lambda"),
+        pytest.param("kind: star\nalpha: [1.0, 7.0, 11.0]\nbeta: [0.1, 0.2, 1.5]\nsolver:\n  root_tol: -1.0\n", 2,
+                     "momentum rescaling must satisfy 0 < beta <= 1, got 1.5", id="bad-beta-and-bad-solver"),
+        pytest.param("kind: chain\n", 1, "missing required key 'actions'", id="chain-missing-both"),
+        pytest.param("kind: chain\nbeta: [0.4, 0.5, 0.3]\n", 1,
+                     "missing required key 'actions'", id="chain-missing-actions"),
+        pytest.param("kind: chain\nactions: [19.0, 17.0, 5.0, -3.0]\nbeta: [0.4, -0.5, 0.3]\n", 2,
+                     "momentum rescaling must be positive, got -0.5", id="chain-bad-beta"),
+        pytest.param("kind: trig\nextra: 1\n", 2,
+                     "unknown key 'extra' (allowed: kind, leading, terms, solver)", id="trig-unknown-key"),
+        pytest.param("kind: trig\nleading: 6.0\nterms: []\n", 2,
+                     "leading must be a mapping", id="leading-scalar"),
+        pytest.param("kind: trig\nleading:\n  S0: 6.0\n  gamma0: 0.0\n  S1: 2.0\nterms: []\n", 5,
+                     "unknown key 'S1' (allowed: S0, gamma0)", id="leading-unknown-key"),
+        pytest.param("kind: trig\nterms: []\nleading:\n  S0: 6.0\n", 4,
+                     "missing required key 'gamma0'", id="leading-missing-key"),
+        pytest.param("kind: trig\nleading:\n  S0: .nan\n  gamma0: 0.0\nterms: []\n", 3,
+                     "S0 must be positive, got nan", id="S0-nan"),
+        pytest.param("kind: trig\nleading: {S0: -6.0, gamma0: x}\nterms: []\n", 2,
+                     "expected a number, got 'x'", id="S0-negative-and-gamma0-text"),
+        pytest.param(_LEADING + "terms:\n  S: 1.0\n", 4, "terms must be a list", id="terms-map"),
+        pytest.param(_LEADING + "terms:\n  - {S: 3.5, gamma: 0.0, a: 0.45}\n  - 7\n", 5,
+                     "terms.1 must be a mapping", id="scalar-term"),
+        pytest.param(_LEADING + "terms:\n  - {S: 3.5, gamma: 0.0, a: 0.45}\n  - {S: 3.5, gamma: 0.0}\n", 5,
+                     "missing required key 'a'", id="term-missing-a"),
+        pytest.param(_LEADING + "terms:\n  - S: 3.5\n    gamma: zero\n    a: 0.45\n", 5,
+                     "expected a number, got 'zero'", id="term-not-a-number"),
+        pytest.param(_LEADING + "terms:\n  - {S: .inf, gamma: 0.0, a: 0.45}\n", 4,
+                     "|S| = inf exceeds S0 = 6.0", id="term-S-inf"),
+        pytest.param(_LEADING + "terms:\n  - {S: 7.0, gamma: x, a: 0.1}\n", 4,
+                     "|S| = 7.0 exceeds S0 = 6.0", id="term-S-too-big-and-gamma-text"),
+        pytest.param(_LEADING + "terms:\n  - {S: 1.0, gamma: .inf, a: x}\n", 4,
+                     "expected a number, got 'x'", id="term-gamma-inf-and-a-text"),
+        pytest.param(_STAR + "solver: 50\n", 4, "solver must be a mapping", id="solver-scalar"),
+        pytest.param(_STAR + "solver:\n  k_max: 50.0\n  tolerance: 1e-9\n", 6,
+                     "unknown key 'tolerance' (allowed: k_max, root_tol, coincidence_tol, max_order)",
+                     id="solver-unknown-key"),
+        pytest.param(_STAR + "solver:\n  max_order: -1\n  root_tol: 0.0\n  k_max: -5.0\n", 7,
+                     "k_max must be positive and finite, got -5.0", id="solver-bad-values-in-key-order"),
+        pytest.param(_STAR + "solver:\n  max_order: true\n", 5,
+                     "max_order must be a nonnegative integer, got True", id="max-order-bool"),
+        pytest.param("kind: star\n1: [1.0, 7.0, 11.0]\n", 2,
+                     "mapping keys must be strings, got 1", id="non-string-key"),
+    ])
+    def test_message_and_line(self, tmp_path, text, line, message):
+        path = write(tmp_path, text)
+        with pytest.raises(SpecFileError) as e:
+            load_graph_spec(path)
+        assert (e.value.line, e.value.message) == (line, message)
+
+    @pytest.mark.parametrize("text, line, message", [
+        pytest.param("kind: trig\nleading:\n  S0: .inf\n  gamma0: 0.0\nterms:\n  - {S: 3.5, gamma: 0.0, a: 0.45}\n",
+                     3, "S0 must be finite, got inf", id="S0"),
+        pytest.param("kind: trig\nleading:\n  S0: 6.0\n  gamma0: .nan\nterms:\n  - {S: 3.5, gamma: 0.0, a: 0.45}\n",
+                     4, "gamma0 must be finite, got nan", id="gamma0"),
+        pytest.param(_LEADING + "terms:\n  - {S: 3.5, gamma: 0.0, a: 0.45}\n  - {S: 1.5, gamma: .inf, a: 0.2}\n",
+                     5, "gamma must be finite, got inf", id="second-term-gamma"),
+        pytest.param(_LEADING + "terms:\n  - {S: 1.0, gamma: 0.0, a: .nan}\n",
+                     4, "a must be finite, got nan", id="term-a"),
+    ])
+    def test_non_finite_trig_number_anchored_at_its_line(self, tmp_path, text, line, message):
+        path = write(tmp_path, text)
+        with pytest.raises(SpecFileError) as e:
+            load_graph_spec(path)
+        assert (e.value.line, e.value.message) == (line, message)
+
+    def test_solver_overrides_keep_the_fixed_key_order(self, tmp_path):
+        path = write(
+            tmp_path,
+            _STAR + 'solver:\n  max_order: 8\n  coincidence_tol: 1e-9\n  root_tol: "1e-13"\n  k_max: 30\n',
+        )
+        overrides = load_graph_spec(path).solver_overrides
+        assert list(overrides.items()) == [
+            ("k_max", 30.0), ("root_tol", 1e-13), ("coincidence_tol", 1e-9), ("max_order", 8),
+        ]

@@ -36,8 +36,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kmax", type=float, default=50.0,
                     help="search window (0, kmax] (default 50)")
-    ap.add_argument("--csv", metavar="FILE", default=None,
-                    help="also write the spectrum as CSV")
     args = ap.parse_args(argv)
 
     spec = StarGraphSpec(ALPHA, BETA)
@@ -76,13 +74,6 @@ def main(argv=None) -> int:
     print(f"counting law: expected {audit.expected:.3f}, counted "
           f"{audit.actual} (doubles weighted twice), "
           f"deviation {audit.deviation:.3f}")
-
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as out:
-            out.write("n,k,E,kind\n")
-            for e in spectrum:
-                out.write(f"{e.n},{e.k!r},{e.k * e.k!r},{e.kind}\n")
-        print(f"\nwrote {args.csv}")
     return 0
 
 

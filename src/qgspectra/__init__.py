@@ -45,8 +45,6 @@ from .trig import (
     TrigSpectralFunction,
     build_ladder,
     derivative_level,
-    evaluate,
-    eval_grid,
     is_regular,
     normalize,
     regularity_sum,
@@ -67,8 +65,6 @@ __all__ = [
     "regularity_sum",
     "REGULARITY_MARGIN",
     "is_regular",
-    "evaluate",
-    "eval_grid",
     "StarGraphSpec",
     "ChainGraphSpec",
     "build_star",

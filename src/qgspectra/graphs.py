@@ -19,6 +19,7 @@ from typing import Sequence
 from .trig import TrigSpectralFunction, normalize
 
 __all__ = [
+    "GraphParameterError",
     "StarGraphSpec",
     "ChainGraphSpec",
     "star_actions",
@@ -33,10 +34,25 @@ __all__ = [
 _Triple = tuple[float, float, float]
 
 
+class GraphParameterError(ValueError):
+    """A graph parameter is out of range; ``field`` names it (``L``, ``beta``, ...)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _check(field: str, values: Sequence[float], ok, message: str) -> None:
+    """Reject the first value that is not finite or fails ``ok``, naming it in ``message``."""
+    for v in values:
+        if not (math.isfinite(v) and ok(v)):
+            raise GraphParameterError(field, message.format(v))
+
+
 def _triple(values: Sequence[float], what: str) -> _Triple:
     vals = tuple(float(v) for v in values)
     if len(vals) != 3:
-        raise ValueError(f"{what} needs exactly 3 entries, got {len(vals)}")
+        raise GraphParameterError(what, f"{what} needs exactly 3 entries, got {len(vals)}")
     return vals  # type: ignore[return-value]
 
 
@@ -55,26 +71,18 @@ class StarGraphSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _triple(self.alpha, "alpha"))
         object.__setattr__(self, "beta", _triple(self.beta, "beta"))
-        for a in self.alpha:
-            if not (math.isfinite(a) and a > 0.0):
-                raise ValueError(f"bond action must be positive, got {a}")
-        for b in self.beta:
-            if not (math.isfinite(b) and 0.0 < b <= 1.0):
-                raise ValueError(
-                    f"momentum rescaling must satisfy 0 < beta <= 1, got {b}"
-                )
+        _check("alpha", self.alpha, lambda a: a > 0.0, "bond action must be positive, got {}")
+        _check("beta", self.beta, lambda b: 0.0 < b <= 1.0,
+               "momentum rescaling must satisfy 0 < beta <= 1, got {}")
 
     @classmethod
     def from_bonds(cls, lengths: Sequence[float], lambdas: Sequence[float]) -> "StarGraphSpec":
         """Build from bond lengths and potential strengths."""
         lengths = _triple(lengths, "L")
         lambdas = _triple(lambdas, "lambda")
-        for length in lengths:
-            if not (math.isfinite(length) and length > 0.0):
-                raise ValueError(f"bond length must be positive, got {length}")
-        for lam in lambdas:
-            if not (math.isfinite(lam) and 0.0 <= lam < 1.0):
-                raise ValueError(f"potential strength must satisfy 0 <= lambda < 1, got {lam}")
+        _check("L", lengths, lambda x: x > 0.0, "bond length must be positive, got {}")
+        _check("lambda", lambdas, lambda x: 0.0 <= x < 1.0,
+               "potential strength must satisfy 0 <= lambda < 1, got {}")
         beta = tuple(math.sqrt(1.0 - lam) for lam in lambdas)
         alpha = tuple(b * length for b, length in zip(beta, lengths))
         return cls(alpha, beta)  # type: ignore[arg-type]
@@ -99,17 +107,12 @@ class ChainGraphSpec:
     def __post_init__(self) -> None:
         acts = tuple(float(v) for v in self.actions)
         if len(acts) != 4:
-            raise ValueError(f"actions needs exactly 4 entries, got {len(acts)}")
+            raise GraphParameterError("actions", f"actions needs exactly 4 entries, got {len(acts)}")
         object.__setattr__(self, "actions", acts)
         object.__setattr__(self, "beta", _triple(self.beta, "beta"))
-        if not (math.isfinite(acts[0]) and acts[0] > 0.0):
-            raise ValueError(f"leading action must be positive, got {acts[0]}")
-        for s in acts[1:]:
-            if not math.isfinite(s):
-                raise ValueError(f"non-finite action {s}")
-        for b in self.beta:
-            if not (math.isfinite(b) and b > 0.0):
-                raise ValueError(f"momentum rescaling must be positive, got {b}")
+        _check("actions", acts[:1], lambda s: s > 0.0, "leading action must be positive, got {}")
+        _check("actions", acts[1:], lambda s: True, "non-finite action {}")
+        _check("beta", self.beta, lambda b: b > 0.0, "momentum rescaling must be positive, got {}")
 
 
 def star_actions(spec: StarGraphSpec) -> tuple[float, float, float, float]:

@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import Derivatives, TrigSpectralFunction, regularity_sum
+from .trig import Derivatives, TrigSpectralFunction
 
 __all__ = [
     "OracleReport",
@@ -183,9 +183,8 @@ def scan_roots(
 
     x_star = _refine(d, 1, xl[turn], xr[turn], vl[1, turn], refine_tol)
     g_star = d.g(x_star)
-    scale = 1.0 + regularity_sum(f)
     tangent = ((np.abs(g_star) <= d.err(0, x_star))
-               & (np.abs(g_star) <= coincidence_tol * scale))
+               & (np.abs(g_star) <= coincidence_tol * (1.0 + d.sigma[0])))
     left = ~tangent & (vl[0, turn] * g_star < 0.0)
     right = ~tangent & (vr[0, turn] * g_star < 0.0)
     cross = ~turn & (vl[0] * vr[0] < 0.0)

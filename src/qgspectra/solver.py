@@ -86,7 +86,6 @@ from .trig import (
     Derivatives,
     TrigSpectralFunction,
     build_ladder,
-    derivative_level,
     is_regular,
     regularity_sum,
 )
@@ -144,7 +143,8 @@ class SolverConfig:
     """Window and tolerances for the ladder solver.
 
     ``coincidence_tol`` is rescaled internally by ``1 + sum|a_j|`` of the
-    function being tested, so it is a relative threshold.
+    ladder level being tested (its ``Derivatives.sigma``), so it is a
+    relative threshold.
     """
 
     k_max: float
@@ -372,7 +372,7 @@ def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level
     lower edge is the trivial zero at k=0, which is excluded from the
     counting, while one at ``k_max`` is recorded as a root.
     """
-    thresh = cfg.coincidence_tol * (1.0 + regularity_sum(derivs.f))
+    thresh = cfg.coincidence_tol * (1.0 + derivs.sigma[0])
     lo, hi = cfg.root_tol, cfg.k_max
     inside = (lo < boundaries) & (boundaries < hi)
     pts = np.concatenate(([lo], boundaries[inside], [hi]))
@@ -424,20 +424,19 @@ def descend_level(
     size is checked first by the count (b).
     """
     derivs = Derivatives(f_lower)
-    f_upper = derivative_level(f_lower, 1)
-    if is_regular(f_upper):
-        # Level 1 of f_lower is f_upper, bitwise.
-        _check_count(f_upper, upper_roots, derivs.g((cfg.root_tol, cfg.k_max), 1), cfg)
+    if derivs.regular(1):
+        _check_count(derivs, 1, upper_roots, cfg)
     return _sweep(derivs, upper_roots.ks, cfg, upper_roots.level - 1, upper_roots.coincident)
 
 
-def _check_count(f: TrigSpectralFunction, roots: RootTable, g: np.ndarray,
-                 cfg: SolverConfig) -> None:
-    """Check (b): the table ``roots`` of the regular ``f`` holds as many roots
-    as its separators give, ``g`` being ``f`` at ``(root_tol, k_max)``."""
+def _check_count(derivs: Derivatives, level: int, roots: RootTable, cfg: SolverConfig) -> None:
+    """Check (b): the table ``roots`` of the regular level ``level`` (0 or 1)
+    of ``derivs`` holds as many roots as its separators give."""
     ends = np.array([cfg.root_tol, cfg.k_max])
-    n = np.floor(ends / (math.pi / f.s0) - f.gamma0)
-    thresh = cfg.coincidence_tol * (1.0 + regularity_sum(f))
+    g = derivs.g(ends, level)
+    # Level 1 keeps s0 and shifts the leading phase by -1/2.
+    n = np.floor(ends / (math.pi / derivs.f.s0) - (derivs.f.gamma0 - 0.5 * level))
+    thresh = cfg.coincidence_tol * (1.0 + derivs.sigma[level])
     rank = n + ((np.abs(g) <= thresh) | ((g < 0.0) != (n % 2 == 1)))
     if len(roots) != rank[1] - rank[0]:
         raise SeparatorFailure(
@@ -469,7 +468,7 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     tables = [_sweep(top, seps, cfg, order)]
     if order == 0:
         # No descent checks level 0 against its separators, so check it here.
-        _check_count(ladder.top, tables[0], top.g((cfg.root_tol, cfg.k_max)), cfg)
+        _check_count(top, 0, tables[0], cfg)
     for m in range(order - 1, -1, -1):
         tables.append(descend_level(ladder[m], tables[-1], cfg))
     return LadderSolution(ladder=ladder, tables=tuple(tables))

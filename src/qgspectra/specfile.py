@@ -41,7 +41,7 @@ from typing import Any
 
 import yaml
 
-from .graphs import ChainGraphSpec, StarGraphSpec, build_chain, build_star
+from .graphs import ChainGraphSpec, GraphParameterError, StarGraphSpec, build_chain, build_star
 from .trig import NormalizeError, TrigSpectralFunction, normalize
 
 __all__ = [
@@ -243,8 +243,8 @@ def _load_star(doc: _Doc, data: dict) -> _Loaded:
     values = [_numbers(doc, data[key], 3, key) for key in (first, second)]
     try:
         graph = construct(*values)
-    except ValueError as exc:
-        raise doc.fail(str(exc), first) from exc
+    except GraphParameterError as exc:
+        raise doc.fail(str(exc), exc.field) from exc
     return build_star(graph), graph
 
 
@@ -261,7 +261,9 @@ def _load_chain(doc: _Doc, data: dict) -> _Loaded:
     try:
         graph = ChainGraphSpec(actions, beta)
         return build_chain(graph), graph
-    except (ValueError, NormalizeError) as exc:
+    except GraphParameterError as exc:
+        raise doc.fail(str(exc), exc.field) from exc
+    except NormalizeError as exc:
         raise doc.fail(str(exc), "actions") from exc
 
 

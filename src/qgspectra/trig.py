@@ -27,10 +27,11 @@ hold about ``2**16`` matrix elements, which spreads numpy's per-call cost
 over many cosines without ever allocating a ``(T+1) x N`` temporary for a
 long grid.  ``np.cos`` is the only transcendental function evaluated.
 
-``Derivatives(f)``, built once per function, holds the kernel's columns of
-``f`` and of its level 1.  It gives ``g``, ``g'``, ``g''`` and their
-rounding bounds, and its ``g`` method is the level-0 fold behind
-``eval_grid``.
+``Derivatives(f)``, built once per ladder level, holds the kernel's columns
+of ``f`` and of its level 1.  It is the one object that answers questions
+about a level: ``g``, ``g'``, ``g''`` and their rounding bounds, ``.g`` for
+the values of level 0 or 1 alone, and ``sigma``, the regularity sums of
+both levels.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
     "NormalizeError",
     "OrderCapError",
     "normalize",
-    "evaluate",
-    "eval_grid",
     "Derivatives",
     "UNIT_ROUNDOFF",
     "derivative_level",
@@ -116,11 +115,6 @@ class TrigSpectralFunction:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
-
-    def __call__(self, k):
-        if isinstance(k, np.ndarray):
-            return eval_grid(self, k)
-        return evaluate(self, float(k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,6 +262,11 @@ class Derivatives:
     the amplitude product by an ulp each, and the fold over the ``T + 1``
     terms by ``T`` more (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3).  ``B_p`` and ``C_p`` are summed with ``math.fsum``.
+
+    ``sigma = (sigma_0, sigma_1)`` are the regularity sums ``sum_j |a_j|``
+    of ``f`` and of its level 1, over the same products ``a_j * r_j`` that
+    :func:`derivative_level` makes, so they are bitwise
+    ``regularity_sum(f)`` and ``regularity_sum(derivative_level(f, 1))``.
     """
 
     def __init__(self, f: TrigSpectralFunction):
@@ -279,6 +278,8 @@ class Derivatives:
         self._actions = np.concatenate((s, s))
         self._phases = _PI * np.concatenate((gamma, gamma - 0.5))
         self._amplitudes = np.concatenate((a, a * r))[:, None]
+        amps = np.abs(self._amplitudes).reshape(2, -1)[:, 1:]
+        self.sigma = tuple(math.fsum(row.tolist()) for row in amps)
         self._damping = (r * r)[:, None]
         span = _PI * (np.abs(gamma) + 1.0) + (f.n_terms + 3)
         weights = np.abs(a)
@@ -319,15 +320,9 @@ class Derivatives:
         """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)`` at ``x >= 0``."""
         return UNIT_ROUNDOFF * (self.B[p + 1] * x + self._c[p])
 
-
-def eval_grid(f: TrigSpectralFunction, ks) -> np.ndarray:
-    """Values of the cosine sum at an array of points, of the same shape."""
-    return Derivatives(f).g(ks)
-
-
-def evaluate(f: TrigSpectralFunction, k: float) -> float:
-    """Value of the cosine sum at a single point."""
-    return float(eval_grid(f, k))
+    def regular(self, level: int) -> bool:
+        """Whether level 0 or 1 is regular, as :func:`is_regular` judges it."""
+        return _regular(self.sigma[level])
 
 
 def derivative_level(f: TrigSpectralFunction, m: int) -> TrigSpectralFunction:
@@ -375,9 +370,13 @@ def regularity_sum(f: TrigSpectralFunction) -> float:
 REGULARITY_MARGIN = 1e-9
 
 
+def _regular(sigma: float) -> bool:
+    return sigma < 1.0 - REGULARITY_MARGIN
+
+
 def is_regular(f: TrigSpectralFunction) -> bool:
     """Whether roots are confined between leading-cosine extrema."""
-    return regularity_sum(f) < 1.0 - REGULARITY_MARGIN
+    return _regular(regularity_sum(f))
 
 
 def build_ladder(f: TrigSpectralFunction, max_order: int = 64) -> DerivativeLadder:

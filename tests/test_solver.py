@@ -10,6 +10,7 @@ from qgspectra import solver, trig
 from qgspectra import (
     INTERIOR,
     SEPARATOR_COINCIDENCE,
+    Derivatives,
     RefinementStall,
     RootEntry,
     RootTable,
@@ -17,7 +18,6 @@ from qgspectra import (
     SolverConfig,
     TrigSpectralFunction,
     descend_level,
-    eval_grid,
     load_graph_spec,
     normalize,
     random_chain,
@@ -171,7 +171,7 @@ class TestSeparators:
     def test_alternating_signs_at_separators(self):
         f = normalize(7.0, 0.125, [(3.0, 0.25, 0.4), (1.0, 1.5, 0.3)])
         seps = regular_separators(f, 20.0)
-        vals = [f(k) for k in seps]
+        vals = Derivatives(f).g(seps).tolist()
         assert all(abs(v) >= 1.0 - 0.7 - 1e-12 for v in vals)
         assert all(a * b < 0.0 for a, b in zip(vals, vals[1:]))
 
@@ -247,7 +247,7 @@ class TestSolveLadder:
         # must not report a root there.
         sol = solve_ladder(worked_star, SolverConfig(k_max=1.0))
         assert all(e.k > 1e-6 for e in sol.spectrum)
-        assert abs(worked_star(0.0)) < 1e-14
+        assert abs(Derivatives(worked_star).g(0.0)) < 1e-14
 
     def test_pure_cosine_at_large_k(self):
         # Near k = 1e4 an ulp is 1.8e-12, so every root must come out as the
@@ -361,6 +361,24 @@ def test_one_derivatives_per_sweep_level_and_per_scan(monkeypatch, worked_star):
         assert built == [f]
 
 
+def test_each_level_derived_once(monkeypatch, worked_star):
+    # build_ladder derives levels 1..M; the descent reads whether the level
+    # above is regular from its own Derivatives, not from a second copy.
+    calls = []
+    derive = trig.derivative_level
+
+    def counting(f, m):
+        calls.append(m)
+        return derive(f, m)
+
+    for module in (trig, solver):
+        monkeypatch.setattr(module, "derivative_level", counting, raising=False)
+    for f in (worked_star, wide_sum(), pure_cosine()):
+        calls.clear()
+        sol = solve_ladder(f, SolverConfig(k_max=30.0))
+        assert calls == [1] * sol.ladder.order
+
+
 class TestCertifiedStop:
     """The Taylor-model stop of the refinement, and the step rule behind it."""
 
@@ -442,7 +460,7 @@ class TestSeparatorChecks:
         with pytest.raises(SeparatorFailure, match="Rolle") as exc_info:
             descend_level(sol.ladder[0], dropped(sol.table(1), 50), cfg)
         failure = exc_info.value
-        assert failure.values == tuple(eval_grid(sol.ladder[0], failure.interval))
+        assert failure.values == tuple(Derivatives(sol.ladder[0]).g(failure.interval))
         assert repr(failure.values[0]) in str(failure)
 
     def test_regular_count_catches_one_or_two_drops(self, worked_star):

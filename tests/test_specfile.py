@@ -386,14 +386,18 @@ class TestLoaderErrors:
                      "missing required key 'L'", id="lambda-only"),
         pytest.param("kind: star\nL: 10.0\nlambda: [0.99, 0.5, 0.75]\n", 2,
                      "expected a list of 3 numbers", id="L-scalar"),
-        pytest.param("kind: star\nL: [10.0, 35.0, 22.0]\nlambda: [0.99, 1.5, 0.75]\n", 2,
+        pytest.param("kind: star\nL: [10.0, 35.0, 22.0]\nlambda: [0.99, 1.5, 0.75]\n", 3,
                      "potential strength must satisfy 0 <= lambda < 1, got 1.5", id="bad-lambda"),
-        pytest.param("kind: star\nalpha: [1.0, 7.0, 11.0]\nbeta: [0.1, 0.2, 1.5]\nsolver:\n  root_tol: -1.0\n", 2,
+        pytest.param("kind: star\nlambda: [0.99, 1.5, 0.75]\nL: [10.0, 35.0, 22.0]\n", 2,
+                     "potential strength must satisfy 0 <= lambda < 1, got 1.5", id="bad-lambda-listed-first"),
+        pytest.param("kind: star\nL: [10.0, -35.0, 22.0]\nlambda: [0.99, 0.5, 0.75]\n", 2,
+                     "bond length must be positive, got -35.0", id="bad-L"),
+        pytest.param("kind: star\nalpha: [1.0, 7.0, 11.0]\nbeta: [0.1, 0.2, 1.5]\nsolver:\n  root_tol: -1.0\n", 3,
                      "momentum rescaling must satisfy 0 < beta <= 1, got 1.5", id="bad-beta-and-bad-solver"),
         pytest.param("kind: chain\n", 1, "missing required key 'actions'", id="chain-missing-both"),
         pytest.param("kind: chain\nbeta: [0.4, 0.5, 0.3]\n", 1,
                      "missing required key 'actions'", id="chain-missing-actions"),
-        pytest.param("kind: chain\nactions: [19.0, 17.0, 5.0, -3.0]\nbeta: [0.4, -0.5, 0.3]\n", 2,
+        pytest.param("kind: chain\nactions: [19.0, 17.0, 5.0, -3.0]\nbeta: [0.4, -0.5, 0.3]\n", 3,
                      "momentum rescaling must be positive, got -0.5", id="chain-bad-beta"),
         pytest.param("kind: trig\nextra: 1\n", 2,
                      "unknown key 'extra' (allowed: kind, leading, terms, solver)", id="trig-unknown-key"),

@@ -16,10 +16,10 @@ from qgspectra import (
     Derivatives,
     build_ladder,
     derivative_level,
-    eval_grid,
-    evaluate,
     is_regular,
     normalize,
+    random_chain,
+    random_star,
     regularity_sum,
 )
 
@@ -126,29 +126,29 @@ class TestNormalize:
 
 class TestEvaluation:
     def test_pure_cosine(self):
-        f = normalize(2.0, 0.0, [])
-        assert evaluate(f, 0.0) == 1.0
-        assert evaluate(f, math.pi) == pytest.approx(1.0, abs=1e-15)
-        assert abs(evaluate(f, math.pi / 4.0)) < 1e-15
+        g = Derivatives(normalize(2.0, 0.0, [])).g
+        assert g(0.0) == 1.0
+        assert g(math.pi) == pytest.approx(1.0, abs=1e-15)
+        assert abs(g(math.pi / 4.0)) < 1e-15
 
     def test_phase_offset(self):
         # gamma0 = 1/2 turns the lead into sin(s0 k).
-        f = normalize(3.0, 0.5, [])
-        assert evaluate(f, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert evaluate(f, math.pi / 6.0) == pytest.approx(1.0, abs=1e-15)
+        g = Derivatives(normalize(3.0, 0.5, [])).g
+        assert g(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert g(math.pi / 6.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_term_subtraction(self):
         f = normalize(2.0, 0.0, [(1.0, 0.0, 0.5)])
         k = 0.37
         expected = math.cos(2.0 * k) - 0.5 * math.cos(k)
-        assert evaluate(f, k) == pytest.approx(expected, abs=1e-15)
+        assert Derivatives(f).g(k) == pytest.approx(expected, abs=1e-15)
 
     def test_grid_matches_pointwise(self):
         # Against scalar math.cos, term by term: np.cos may differ from the
         # C library in the last bit on some platforms.
         f = make_fn()
         xs = np.linspace(0.0, 30.0, 1500)
-        grid = eval_grid(f, xs)
+        grid = Derivatives(f).g(xs)
         pointwise = []
         for x in xs.tolist():
             acc = math.cos(f.s0 * x - math.pi * f.gamma0)
@@ -156,12 +156,6 @@ class TestEvaluation:
                 acc -= a * math.cos(s * x - math.pi * g)
             pointwise.append(acc)
         assert np.allclose(grid, pointwise, rtol=0.0, atol=1e-13)
-
-    def test_callable_dispatch(self):
-        f = make_fn()
-        assert f(1.5) == evaluate(f, 1.5)
-        xs = np.array([0.5, 1.5])
-        assert np.array_equal(f(xs), eval_grid(f, xs))
 
 
 def reference_eval(f, ks):
@@ -206,7 +200,7 @@ class TestKernel:
     ])
     def test_shapes_match_reference(self, ks):
         for f in KERNEL_FNS.values():
-            assert_bitwise(eval_grid(f, ks), reference_eval(f, ks))
+            assert_bitwise(Derivatives(f).g(ks), reference_eval(f, ks))
 
     def test_probe_shape(self):
         # A 2-d array of points, n intervals by 4 interior offsets, comes
@@ -214,7 +208,7 @@ class TestKernel:
         a = np.linspace(0.0, 50.0, 301)[:, None]
         nodes = a + np.array([0.236, 0.472, 0.618, 0.854]) * 0.17
         for f in KERNEL_FNS.values():
-            assert_bitwise(eval_grid(f, nodes), reference_eval(f, nodes))
+            assert_bitwise(Derivatives(f).g(nodes), reference_eval(f, nodes))
 
     @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
     def test_block_boundaries(self, rows):
@@ -223,7 +217,7 @@ class TestKernel:
         width = trig._BLOCK_ELEMENTS // rows
         for n in (width - 1, width, width + 1, 2 * width + 1):
             ks = np.linspace(0.0, 90.0, n)
-            assert_bitwise(eval_grid(f, ks), reference_eval(f, ks))
+            assert_bitwise(Derivatives(f).g(ks), reference_eval(f, ks))
 
     def test_derivative_levels_with_zero_amplitudes(self):
         # A constant term (s = 0) dies at level 1 but stays in the term
@@ -234,21 +228,19 @@ class TestKernel:
             level = derivative_level(f, m)
             if m:
                 assert [t.a for t in level.terms[-2:]] == [0.0, 0.0]
-            assert_bitwise(eval_grid(level, ks), reference_eval(level, ks))
+            assert_bitwise(Derivatives(level).g(ks), reference_eval(level, ks))
 
     def test_large_k(self):
         ks = 1e7 + np.linspace(-3.0, 3.0, 4001)
         for f in KERNEL_FNS.values():
             for m in range(3):
                 level = derivative_level(f, m)
-                assert_bitwise(eval_grid(level, ks), reference_eval(level, ks))
+                assert_bitwise(Derivatives(level).g(ks), reference_eval(level, ks))
 
-    def test_evaluate_is_the_grid_at_one_point(self):
+    def test_one_point_is_the_grid(self):
         f = KERNEL_FNS[33]
         for k in (0.0, 0.3, 17.25, 1e7 + 0.5):
-            value = evaluate(f, k)
-            assert type(value) is float
-            assert value == reference_eval(f, k)
+            assert_bitwise(Derivatives(f).g(k), reference_eval(f, k))
 
     def test_blocks_bound_memory(self):
         # A (T+1) x N phase matrix for 2e5 points and 33 terms is 53 MB;
@@ -257,7 +249,7 @@ class TestKernel:
         ks = np.linspace(0.0, 1000.0, 200_000)
         tracemalloc.start()
         try:
-            eval_grid(f, ks)
+            Derivatives(f).g(ks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -274,10 +266,10 @@ class TestDerivatives:
             x = np.linspace(0.0, 60.0, n)
             d = Derivatives(f)
             g, dg, d2g = d(x)
-            assert_bitwise(g, eval_grid(f, x))
-            assert_bitwise(dg, f.s0 * eval_grid(derivative_level(f, 1), x))
-            assert_bitwise(d.g(x, 1), eval_grid(derivative_level(f, 1), x))
-            curvature = f.s0 ** 2 * eval_grid(derivative_level(f, 2), x)
+            assert_bitwise(g, d.g(x))
+            assert_bitwise(dg, f.s0 * Derivatives(derivative_level(f, 1)).g(x))
+            assert_bitwise(d.g(x, 1), Derivatives(derivative_level(f, 1)).g(x))
+            curvature = f.s0 ** 2 * Derivatives(derivative_level(f, 2)).g(x)
             scale = f.s0 ** 2 * (1.0 + regularity_sum(f))
             assert np.allclose(d2g, curvature, rtol=0.0, atol=1e-13 * scale)
 
@@ -285,8 +277,9 @@ class TestDerivatives:
         f = KERNEL_FNS[4]
         x = np.linspace(0.5, 9.5, 37)
         h = 1e-4
-        _, _, d2g = Derivatives(f)(x)
-        fd = (eval_grid(f, x + h) - 2.0 * eval_grid(f, x) + eval_grid(f, x - h)) / h**2
+        d = Derivatives(f)
+        _, _, d2g = d(x)
+        fd = (d.g(x + h) - 2.0 * d.g(x) + d.g(x - h)) / h**2
         assert np.allclose(d2g, fd, rtol=0.0, atol=1e-5 * f.s0 ** 2)
 
     @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
@@ -309,6 +302,18 @@ class TestDerivatives:
                                          for s, pg, a in rows_mp)
                     assert abs(computed[p][i] - exact) <= d.err(p, k)
                     assert abs(computed[p][i]) <= d.B[p] * (1.0 + 1e-12)
+
+
+@given(kind=st.sampled_from(["star", "chain", "wide"]), seed=st.integers(0, 2**32 - 1))
+def test_sigma_is_the_regularity_sums_bitwise(kind, seed):
+    if kind == "wide":
+        f = wide_fn(32, seed)
+    else:
+        f = {"star": random_star, "chain": random_chain}[kind](random.Random(seed))
+    for level in build_ladder(f).levels:
+        sigma = Derivatives(level).sigma
+        expected = (regularity_sum(level), regularity_sum(derivative_level(level, 1)))
+        assert [x.hex() for x in sigma] == [x.hex() for x in expected]
 
 
 class TestDerivativeLadder:
@@ -340,11 +345,11 @@ class TestDerivativeLadder:
 
     def test_fd_matches_level_one(self):
         f = make_fn()
-        d = derivative_level(f, 1)
+        g, g1 = Derivatives(f).g, Derivatives(derivative_level(f, 1)).g
         h = 1e-6
         for k in (0.3, 1.1, 2.9, 7.77):
-            fd = (evaluate(f, k + h) - evaluate(f, k - h)) / (2.0 * h * f.s0)
-            assert fd == pytest.approx(evaluate(d, k), abs=1e-8)
+            fd = (g(k + h) - g(k - h)) / (2.0 * h * f.s0)
+            assert fd == pytest.approx(g1(k), abs=1e-8)
 
     def test_zero_action_term_dies_off(self):
         f = normalize(4.0, 0.0, [(0.0, 0.25, 0.5)])
@@ -352,7 +357,7 @@ class TestDerivativeLadder:
         (t,) = d.terms
         assert t.a == 0.0
         # and it no longer moves the values
-        assert evaluate(d, 1.23) == pytest.approx(math.cos(4 * 1.23 + math.pi / 2), abs=1e-15)
+        assert Derivatives(d).g(1.23) == pytest.approx(math.cos(4 * 1.23 + math.pi / 2), abs=1e-15)
 
 
 class TestRegularity:
@@ -404,7 +409,7 @@ class TestRegularity:
 )
 def test_leading_term_alone_is_a_cosine(s0, gamma0, k):
     f = normalize(s0, gamma0, [])
-    assert evaluate(f, k) == pytest.approx(
+    assert Derivatives(f).g(k) == pytest.approx(
         math.cos(s0 * k - math.pi * gamma0), abs=1e-12
     )
 

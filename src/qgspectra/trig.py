@@ -16,16 +16,23 @@ pushes the amplitude sum below one (the regularity condition), which is the
 property the separator-based root solver needs before it can bracket roots.
 
 Every evaluation goes through one kernel.  A block of ``B`` points becomes a
-``(T+1) x B`` phase matrix ``s_i*k - pi*gamma_i`` over the leading term and
-the ``T`` terms; one ``np.cos`` turns it into cosines, a row scaling applies
-the amplitudes (1 for the leading row), and ``np.subtract.reduce`` along the
-term axis folds ``C_0 - a_1*C_1 - a_2*C_2 - ...`` left to right.  Each
+``(T+1) x B`` matrix of half-phases ``(s_i*k - pi*gamma_i)/2`` over the
+leading term and the ``T`` terms.  One ``np.tan`` turns it into
+``t = tan(theta/2)``, and ``cos(theta) = (1 - t**2)/(1 + t**2)`` into
+cosines; a row scaling applies the amplitudes (1 for the leading row), and
+``np.subtract.reduce`` along the term axis folds
+``C_0 - a_1*C_1 - a_2*C_2 - ...`` left to right.  Halving is exact, so each
 product and each subtraction is the one the per-term loop
-``acc = acc - a*cos(s*k - pi*gamma)`` would make, in the same order, so the
-values do not depend on the block size or on which caller asks.  Blocks
-hold about ``2**16`` matrix elements, which spreads numpy's per-call cost
-over many cosines without ever allocating a ``(T+1) x N`` temporary for a
-long grid.  ``np.cos`` is the only transcendental function evaluated.
+``acc = acc - a*cos(s*k - pi*gamma)`` would make with the same cosine, in
+the same order, and the values do not depend on the block size or on which
+caller asks.  Blocks hold about ``2**16`` matrix elements, which spreads
+numpy's per-call cost over many cosines without ever allocating a
+``(T+1) x N`` temporary for a long grid.  ``np.tan`` is the only
+transcendental function evaluated.  It is there for speed: on an
+x86-64 CPU with AVX-512, numpy dispatches float64 ``tan`` to a SIMD loop,
+about 3 ns an element against about 30 for ``np.cos``, which stays scalar
+libm (numpy 2.4).  Where numpy has no such loop, ``np.tan`` is scalar libm
+too and the kernel costs about what ``np.cos`` did.
 
 ``Derivatives(f)``, built once per ladder level, holds the kernel's columns
 of ``f`` and of its level 1.  It is the one object that answers questions
@@ -225,15 +232,32 @@ def normalize(
 _BLOCK_ELEMENTS = 1 << 16
 
 
+# The kernel's cosine is within this many units of roundoff of the true
+# cosine of its phase, given np.tan within 1 ulp (derivation in Derivatives).
+_COSINE_UNITS = 4
+
+
+def _half_angle_cos(h: np.ndarray) -> np.ndarray:
+    """Overwrite the half-phases ``h`` with ``cos(2*h)``, taken from
+    ``t = tan(h)`` as ``(1 - t**2) / (1 + t**2)``, and return ``h``."""
+    np.tan(h, out=h)
+    h *= h
+    denominator = 1.0 + h
+    np.subtract(1.0, h, out=h)
+    h /= denominator
+    return h
+
+
 def _cosine_blocks(s: np.ndarray, pg: np.ndarray, x: np.ndarray):
     """Yield ``(slice, C)`` over blocks of the flat points ``x``, where
-    ``C[i, j] = cos(s[i]*x[j] - pg[i])`` is one block of the phase matrix."""
+    ``C[i, j] = cos(2*(s[i]*x[j] - pg[i]))`` is one block of the phase
+    matrix; ``s`` and ``pg`` are the halved actions and phases."""
     width = max(1, _BLOCK_ELEMENTS // s.size)
     for start in range(0, x.size, width):
         block = slice(start, start + width)
         c = np.multiply.outer(s, x[block])
         c -= pg[:, None]
-        yield block, np.cos(c, out=c)
+        yield block, _half_angle_cos(c)
 
 
 # Unit roundoff of binary64.
@@ -255,13 +279,28 @@ class Derivatives:
     ``err(p, x)`` bounds how far the p-th derivative computed here lies
     from the true one at the same float point ``x >= 0``:
 
-        err_p(x) = u * sum_i |a_i| s_i**p * (s_i |x| + pi(|gamma_i| + 1) + T + 3)
+        err_p(x) = u * sum_i |a_i| s_i**p * (s_i |x| + pi(|gamma_i| + 1) + T + 6)
                  = u * (B_{p+1} |x| + C_p).
 
-    Each phase is off by about an ulp of each of its parts, the cosine and
-    the amplitude product by an ulp each, and the fold over the ``T + 1``
-    terms by ``T`` more (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 3).  ``B_p`` and ``C_p`` are summed with ``math.fsum``.
+    Each phase is off by about an ulp of each of its parts, the cosine by
+    ``4u`` (below), the amplitude product by an ulp, and the fold over the
+    ``T + 1`` terms by ``T`` more (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3).  ``B_p`` and ``C_p`` are summed with
+    ``math.fsum``.
+
+    The cosine of a computed phase ``theta`` is ``(1 - w)/(1 + w)`` with
+    ``w = t**2`` and ``t = tan(theta/2)``; halving is exact, so ``t`` is the
+    tangent of exactly half the phase.  ``np.tan`` is within 1 ulp, a
+    relative error of at most ``2u``, so ``w`` is off by ``5u`` relative
+    after its own rounding, which moves the quotient by
+    ``2w/(1 + w)**2`` times that.  Rounding ``1 - w``, ``1 + w`` and the
+    quotient adds ``3u |cos(theta)|``.  In all the cosine is off by at most
+
+        u * (10w/(1 + w)**2 + 3|1 - w|/(1 + w)) <= 3.4u,
+
+    the maximum being at ``w = 1/4``; ``4u`` covers it with the
+    second-order terms.  ``tests/test_trig.py`` checks the premise, that
+    ``np.tan`` is within 1 ulp, against mpmath.
 
     ``sigma = (sigma_0, sigma_1)`` are the regularity sums ``sum_j |a_j|``
     of ``f`` and of its level 1, over the same products ``a_j * r_j`` that
@@ -275,13 +314,13 @@ class Derivatives:
         r = s / f.s0
         self.f = f
         self._n = s.size
-        self._actions = np.concatenate((s, s))
-        self._phases = _PI * np.concatenate((gamma, gamma - 0.5))
+        self._actions = 0.5 * np.concatenate((s, s))
+        self._phases = 0.5 * (_PI * np.concatenate((gamma, gamma - 0.5)))
         self._amplitudes = np.concatenate((a, a * r))[:, None]
         amps = np.abs(self._amplitudes).reshape(2, -1)[:, 1:]
         self.sigma = tuple(math.fsum(row.tolist()) for row in amps)
         self._damping = (r * r)[:, None]
-        span = _PI * (np.abs(gamma) + 1.0) + (f.n_terms + 3)
+        span = _PI * (np.abs(gamma) + 1.0) + (f.n_terms + 2 + _COSINE_UNITS)
         weights = np.abs(a)
         b, c = [], []
         for _ in range(4):

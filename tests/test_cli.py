@@ -11,7 +11,7 @@ import pytest
 
 import qgspectra
 from qgspectra import Derivatives, SolverConfig, build_ladder, load_graph_spec, solve_ladder
-from qgspectra import cli, solver
+from qgspectra import cli, solver, trig
 from qgspectra.cli import main
 
 SPECS_DIR = Path(__file__).resolve().parents[1] / "specs"
@@ -251,23 +251,34 @@ class TestEval:
         assert sizes == [6, 6, 6, 6, 6, 6, 3, 3]
 
     def test_grid_matches_scalar_cosines(self, capsys):
-        # The CSV is the same as a scalar evaluation with math.cos, term by
-        # term, would write.
+        # The CSV is the same as a scalar evaluation, term by term, with the
+        # kernel's cosine would write, and each value is within err(0, |k|)
+        # of the true one.
+        mpmath = pytest.importorskip("mpmath")
         spec = load_graph_spec(str(SPECS_DIR / "star.yaml"))
         ladder = build_ladder(spec.function)
+        bounds = [Derivatives(level).err for level in ladder.levels]
         rc, out, _ = run(capsys, ["eval", "--graph", str(SPECS_DIR / "star.yaml"),
                                   "--kmin", "-3", "--kmax", "60", "--step", "0.0731"])
         assert rc == 0
         rows = out.splitlines()[1:]
         assert len(rows) == 862
+
+        def cos(phase):
+            return float(trig._half_angle_cos(np.array(0.5 * phase)))
+
         for row in rows:
             k, *values = (float(v) for v in row.split(","))
             expected = []
-            for level in ladder.levels:
-                acc = math.cos(level.s0 * k - math.pi * level.gamma0)
+            for level, err, value in zip(ladder.levels, bounds, values):
+                acc = cos(level.s0 * k - math.pi * level.gamma0)
                 for s, g, a in level.terms:
-                    acc -= a * math.cos(s * k - math.pi * g)
+                    acc -= a * cos(s * k - math.pi * g)
                 expected.append(acc)
+                with mpmath.workdps(30):
+                    exact = mpmath.cos(level.s0 * k - mpmath.pi * level.gamma0) - mpmath.fsum(
+                        a * mpmath.cos(s * k - mpmath.pi * g) for s, g, a in level.terms)
+                assert abs(value - exact) <= err(0, abs(k))
             assert values == expected
 
     def test_needs_grid_or_points(self, capsys, star_file):

@@ -144,30 +144,37 @@ class TestEvaluation:
         assert Derivatives(f).g(k) == pytest.approx(expected, abs=1e-15)
 
     def test_grid_matches_pointwise(self):
-        # Against scalar math.cos, term by term: np.cos may differ from the
-        # C library in the last bit on some platforms.
+        # Against scalar math.cos, term by term.  The kernel takes its
+        # cosines from np.tan, so the two differ in the last bits; each is
+        # within err(0, x) of the true sum, so they are within twice that.
         f = make_fn()
+        d = Derivatives(f)
         xs = np.linspace(0.0, 30.0, 1500)
-        grid = Derivatives(f).g(xs)
+        grid = d.g(xs)
         pointwise = []
         for x in xs.tolist():
             acc = math.cos(f.s0 * x - math.pi * f.gamma0)
             for s, g, a in f.terms:
                 acc -= a * math.cos(s * x - math.pi * g)
             pointwise.append(acc)
-        assert np.allclose(grid, pointwise, rtol=0.0, atol=1e-13)
+        assert (np.abs(grid - pointwise) <= 2.0 * d.err(0, xs)).all()
+
+
+def kernel_cos(phases):
+    """The kernel's cosine of each phase: through the tangent of half of it."""
+    return trig._half_angle_cos(np.array(0.5 * np.asarray(phases, dtype=float)))
 
 
 def reference_eval(f, ks):
     """The per-term loop the blocked kernel replaced, kept as the reference.
 
-    The kernel folds the same products in the same order, so its values
-    must match these bit for bit.
+    The kernel folds the same products in the same order, with the same
+    cosine, so its values must match these bit for bit.
     """
     ks = np.asarray(ks, dtype=float)
-    acc = np.cos(f.s0 * ks - math.pi * f.gamma0)
+    acc = kernel_cos(f.s0 * ks - math.pi * f.gamma0)
     for s, g, a in f.terms:
-        acc = acc - a * np.cos(s * ks - math.pi * g)
+        acc = acc - a * kernel_cos(s * ks - math.pi * g)
     return acc
 
 
@@ -290,7 +297,7 @@ class TestDerivatives:
         f = derivative_level(KERNEL_FNS[rows], 1)
         d = Derivatives(f)
         x = np.concatenate((np.linspace(0.0, 50.0, 21), 1e4 + np.linspace(0.0, 5.0, 11),
-                            1e7 + np.linspace(0.0, 1.0, 5)))
+                            1e7 + np.linspace(0.0, 1.0, 5), 1e8 + np.linspace(0.0, 1.0, 5)))
         computed = d(x)
         rows_mp = [(mpmath.mpf(s), mpmath.pi * g, mpmath.mpf(a)) for s, g, a in
                    [(f.s0, f.gamma0, -1.0)] + [tuple(t) for t in f.terms]]
@@ -302,6 +309,43 @@ class TestDerivatives:
                                          for s, pg, a in rows_mp)
                     assert abs(computed[p][i] - exact) <= d.err(p, k)
                     assert abs(computed[p][i]) <= d.B[p] * (1.0 + 1e-12)
+
+
+class TestTangentPremise:
+    """The rounding bound takes np.tan within 1 ulp of the true tangent and
+    the kernel's cosine within ``_COSINE_UNITS`` units of roundoff.  A
+    platform whose np.tan is less accurate fails here, instead of quietly
+    weakening every certificate built on ``Derivatives.err``."""
+
+    @staticmethod
+    def check(x):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.asarray(x, dtype=float)
+        tangents = np.tan(x)
+        cosines = kernel_cos(2.0 * x)
+        bound = trig._COSINE_UNITS * trig.UNIT_ROUNDOFF
+        with mpmath.workdps(60):
+            for h, t, c in zip(x.tolist(), tangents.tolist(), cosines.tolist()):
+                exact = mpmath.tan(h)
+                assert abs(t - exact) <= np.spacing(abs(float(exact))), h
+                assert abs(c - mpmath.cos(2 * mpmath.mpf(h))) <= bound, h
+
+    @given(st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e9), st.booleans()),
+                    min_size=1, max_size=64))
+    def test_drawn_arguments(self, draws):
+        self.check([-x if negative else x for x, negative in draws])
+
+    def test_next_to_multiples_of_a_quarter_turn(self):
+        # The doubles on either side of n*pi/2, where tan has its poles
+        # (odd n) and zeros (even n), up to n = 1e9.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(19)
+        ns = list(range(1, 1001)) + [10 ** e for e in range(3, 10)] + [
+            rng.randrange(1, 10 ** 9) for _ in range(500)]
+        with mpmath.workdps(60):
+            nearest = np.array([float(n * mpmath.pi / 2) for n in ns])
+        self.check(np.concatenate((np.nextafter(nearest, 0.0), nearest,
+                                   np.nextafter(nearest, np.inf))))
 
 
 @given(kind=st.sampled_from(["star", "chain", "wide"]), seed=st.integers(0, 2**32 - 1))

@@ -39,7 +39,7 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
     big_b, big_c = [], []
     for _ in range(4):
         big_b.append(math.fsum(weights))
-        big_c.append(math.fsum(w * (math.pi * (abs(g) + 1.0) + (len(rows) + 5))
+        big_c.append(math.fsum(w * (math.pi * (abs(g) + 1.0) + (len(rows) + 11))
                                for w, (_, g, _) in zip(weights, rows)))
         weights = [w * s for w, (s, _, _) in zip(weights, rows)]
     scale = 1.0 + regularity_sum(f)

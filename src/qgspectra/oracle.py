@@ -15,14 +15,22 @@ cell of width ``w`` is then, checking in this order:
 - **one extremum** when ``max |g''| > B3 w + err_2``: if ``g'`` changes
   sign, its root is the extremum ``x*``, which is a tangent
   (double) root when ``|g(x*)|`` is within both ``err_0`` and
-  ``coincidence_tol * (1 + sum|a|)``; otherwise each side whose end value
-  differs in sign from ``g(x*)`` holds one simple root.  Without a sign
-  change of ``g'`` the cell is monotone;
+  ``coincidence_tol * (1 + sum|a|)``, as ``Derivatives.near_zero`` judges
+  it; otherwise each side whose end value differs in sign from ``g(x*)``
+  holds one simple root.  Without a sign change of ``g'`` the cell is
+  monotone;
 - otherwise halved, down to the floor ``B2 w**2/2 <= err_0``, where a
   cell gives a root only on a sign change of ``g``.
 
 An exact zero of ``g`` at a cell's right end is a root; the left end
 belongs to the cell before, or to the excluded window start.
+
+The tangent test is the oracle's one value decision.  Three rules on
+widths and distances are its own and do not go through
+``Derivatives.near_zero``: the floor cell above, the cut of roots within
+``refine_tol`` of the window start, and the merge of a root within
+``4*refine_tol`` of the last one kept.  A certified near-zero decision
+has to replace them too.
 
 One batched interval Newton (Moore; Tucker, *Validated Numerics*, 2011),
 each cell stopping on its own, refines the roots of ``g^(p)``: p = 0 for
@@ -183,8 +191,7 @@ def scan_roots(
 
     x_star = _refine(d, 1, xl[turn], xr[turn], vl[1, turn], refine_tol)
     g_star = d.g(x_star)
-    tangent = ((np.abs(g_star) <= d.err(0, x_star))
-               & (np.abs(g_star) <= coincidence_tol * (1.0 + d.sigma[0])))
+    tangent = d.near_zero(g_star, coincidence_tol, x=x_star)
     left = ~tangent & (vl[0, turn] * g_star < 0.0)
     right = ~tangent & (vr[0, turn] * g_star < 0.0)
     cross = ~turn & (vl[0] * vr[0] < 0.0)
@@ -195,13 +202,24 @@ def scan_roots(
         np.concatenate((vl[0, cross], vl[0, turn][left], g_star[right])),
         refine_tol,
     )
-    roots = sorted(x_star[tangent].tolist() + refined.tolist() + xr[vr[0] == 0.0].tolist())
-    roots = [r for r in roots if r > lo + refine_tol]
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 4.0 * refine_tol:
-            deduped.append(r)
-    return deduped, step
+    roots = np.sort(np.concatenate((x_star[tangent], refined, xr[vr[0] == 0.0])))
+    return _merge_close(roots[roots > lo + refine_tol], refine_tol).tolist(), step
+
+
+def _merge_close(roots: np.ndarray, tol: float) -> np.ndarray:
+    """The ascending ``roots`` less each one within ``4*tol`` of the last kept.
+
+    A root more than ``4*tol`` above the one before it is that far above
+    every kept root too (rounded subtraction is monotone), so only the
+    others are measured again, in order, from the last root kept.
+    """
+    keep = np.diff(roots, prepend=-np.inf) > 4.0 * tol
+    last = 0
+    for i in np.flatnonzero(~keep).tolist():
+        if keep[i - 1]:
+            last = i - 1
+        keep[i] = roots[i] - roots[last] > 4.0 * tol
+    return roots[keep]
 
 
 def compare(

@@ -38,7 +38,10 @@ is carried across them.  (b) When level m+1 is regular, the bound above
 fixes its root count: the separator index at or below each window end,
 plus one where ``g_{m+1}`` there is within the threshold or has the sign
 opposite to the separator's ``(-1)**n``.  With no descent (M = 0) the
-count checks level 0 itself.  A table missing an even number of roots
+count checks level 0 itself.  The coincidence threshold is applied in
+one place, ``Derivatives.near_zero``: it judges the differences (a)
+skips, the window-end values (b) ranks, the coincidences on separators
+and the window edges.  A table missing an even number of roots
 below the regular level passes both; catching that needs an exact
 per-level zero count.
 
@@ -144,7 +147,7 @@ class SolverConfig:
 
     ``coincidence_tol`` is rescaled internally by ``1 + sum|a_j|`` of the
     ladder level being tested (its ``Derivatives.sigma``), so it is a
-    relative threshold.
+    relative threshold; ``Derivatives.near_zero`` applies it.
     """
 
     k_max: float
@@ -366,24 +369,23 @@ def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level
     Boundaries are either regular-level separators (``upper_coincident`` is
     None) or the roots of the level above with its ``coincident`` column; in
     the latter case the values pass the Rolle check first, and a boundary
-    where ``|f|`` is below the scaled coincidence threshold is itself
-    recorded as a root and its two adjacent intervals are skipped.
+    where ``derivs.near_zero`` judges ``f`` zero is itself recorded as a
+    root and its two adjacent intervals are skipped.
     The window edges get the same magnitude test: a vanishing value at the
     lower edge is the trivial zero at k=0, which is excluded from the
     counting, while one at ``k_max`` is recorded as a root.
     """
-    thresh = cfg.coincidence_tol * (1.0 + derivs.sigma[0])
     lo, hi = cfg.root_tol, cfg.k_max
     inside = (lo < boundaries) & (boundaries < hi)
     pts = np.concatenate(([lo], boundaries[inside], [hi]))
     vals = derivs.g(pts)
-    small = np.abs(vals) <= thresh
+    small = derivs.near_zero(vals, cfg.coincidence_tol)
 
     coinc = np.zeros(pts.size, dtype=bool)
     if upper_coincident is not None:
         coinc[1:-1] = small[1:-1]
         rise = np.diff(vals)
-        read = np.flatnonzero(np.abs(rise) > thresh)
+        read = np.flatnonzero(~derivs.near_zero(rise, cfg.coincidence_tol))
         flips = np.cumsum(np.concatenate(([False], ~upper_coincident[inside])))
         turned = (rise[read] > 0.0) ^ (flips[read] % 2 == 1)
         bad = np.flatnonzero(turned[1:] != turned[:-1])
@@ -436,8 +438,7 @@ def _check_count(derivs: Derivatives, level: int, roots: RootTable, cfg: SolverC
     g = derivs.g(ends, level)
     # Level 1 keeps s0 and shifts the leading phase by -1/2.
     n = np.floor(ends / (math.pi / derivs.f.s0) - (derivs.f.gamma0 - 0.5 * level))
-    thresh = cfg.coincidence_tol * (1.0 + derivs.sigma[level])
-    rank = n + ((np.abs(g) <= thresh) | ((g < 0.0) != (n % 2 == 1)))
+    rank = n + (derivs.near_zero(g, cfg.coincidence_tol, level) | ((g < 0.0) != (n % 2 == 1)))
     if len(roots) != rank[1] - rank[0]:
         raise SeparatorFailure(
             f"the regular level above holds {len(roots)} roots, its "

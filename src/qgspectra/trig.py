@@ -40,8 +40,8 @@ second and networks-highk 0.87x.
 ``Derivatives(f)``, built once per ladder level, holds the kernel's columns
 of ``f`` and of its level 1.  It is the one object that answers questions
 about a level: ``g``, ``g'``, ``g''`` and their rounding bounds, ``.g`` for
-the values of level 0 or 1 alone, and ``sigma``, the regularity sums of
-both levels.
+the values of level 0 or 1 alone, ``sigma``, the regularity sums of both
+levels, and ``near_zero``, which judges where computed values are zero.
 """
 
 from __future__ import annotations
@@ -372,6 +372,23 @@ class Derivatives:
     def err(self, p: int, x):
         """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)`` at ``x >= 0``."""
         return UNIT_ROUNDOFF * (self.B[p + 1] * x + self._c[p])
+
+    def near_zero(self, v, tol: float, level: int = 0, x=None) -> np.ndarray:
+        """Where the computed values ``v`` of level 0 or 1 are judged zero.
+
+        This is the one place the coincidence threshold is applied: ``v``
+        is zero where ``|v| <= tol * (1 + sigma[level])``, and, for values
+        of ``g`` at given points ``x``, also ``|v| <= err(0, x)``.  The solver's
+        coincidences, window edges, Rolle read and count ranks and the
+        oracle's tangent test ask it.  The oracle's width and distance
+        rules (its floor cell, the cut at the window start and the merge of
+        close roots) are not value tests and do not; a certified near-zero
+        decision has to replace them alongside this one.
+        """
+        small = np.abs(v) <= tol * (1.0 + self.sigma[level])
+        if x is not None:
+            small &= np.abs(v) <= self.err(0, x)
+        return small
 
     def regular(self, level: int) -> bool:
         """Whether level 0 or 1 is regular, as :func:`is_regular` judges it."""

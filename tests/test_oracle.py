@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qgspectra.oracle
 from qgspectra import (
@@ -193,6 +195,19 @@ class TestScanRoots:
         cases += [(worked_star, (1490.0, 1500.0), {})]
         for f, window, kw in cases:
             assert scan_roots(f, window, **kw) == reference_scan(f, window, **kw)
+
+    @given(st.lists(st.integers(min_value=0, max_value=12), max_size=40))
+    def test_merge_measures_from_the_last_kept_root(self, steps):
+        # Roots whole multiples of tol/2 apart, ties included: a chain of
+        # close roots is measured from the last root kept, not from its
+        # neighbour, as the loop over the sorted list does.
+        tol = 1e-12
+        roots = 1.0 + np.cumsum(steps) * (0.5 * tol)
+        kept = []
+        for r in roots.tolist():
+            if not kept or r - kept[-1] > 4.0 * tol:
+                kept.append(r)
+        assert qgspectra.oracle._merge_close(roots, tol).tolist() == kept
 
     def test_sunk_tangency_gives_two_simple_roots(self, shifted_star):
         # g(pi) = -1e-11, far above rounding and a tenth of the default

@@ -310,6 +310,25 @@ class TestDerivatives:
                     assert abs(computed[p][i] - exact) <= d.err(p, k)
                     assert abs(computed[p][i]) <= d.B[p] * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_near_zero_threshold_is_inclusive(self, worked_star, level):
+        d = Derivatives(worked_star)
+        tol = 1e-10
+        t = tol * (1.0 + d.sigma[level])
+        above = np.nextafter(t, np.inf)
+        v = np.array([0.0, t, -t, above, -above])
+        assert d.near_zero(v, tol, level).tolist() == [True, True, True, False, False]
+
+    def test_near_zero_at_points_needs_the_rounding_bound_too(self, worked_star):
+        d = Derivatives(worked_star)
+        tol = 1e-10
+        x = np.array([1.0, 1.0, 1.0])
+        e = d.err(0, 1.0)
+        v = np.array([e, -e, np.nextafter(e, np.inf)])
+        assert v[2] < tol * (1.0 + d.sigma[0])
+        assert d.near_zero(v, tol).all()
+        assert d.near_zero(v, tol, x=x).tolist() == [True, True, False]
+
 
 class TestTangentPremise:
     """The rounding bound takes np.tan within ``_TAN_ULPS`` ulp of the true

@@ -167,7 +167,7 @@ def scan_roots(
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)
     v = np.stack(d(xs))
     xl, xr, vl, vr = xs[:-1], xs[1:], v[:, :-1], v[:, 1:]
-    settled = []
+    settled, zeros = [], []
     while xl.size:
         w = xr - xl
         e0 = d.err(0, xr)
@@ -178,9 +178,13 @@ def scan_roots(
         ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + d.err(2, xr)
         done = ~free & (mono | ext | (curv <= e0))
         # A cell with one extremum turns where g' changes sign; one where
-        # it does not is monotone.
+        # it does not is monotone.  Only cells that turn or change sign
+        # can hold a root inside; the rest give at most their exact
+        # right-end zero.
         turn = ext & ~mono & (vl[1] * vr[1] < 0.0)
-        settled.append((xl[done], xr[done], vl[:, done], vr[:, done], turn[done]))
+        zeros.append(xr[done & (vr[0] == 0.0)])
+        keep = done & (turn | (vl[0] * vr[0] < 0.0))
+        settled.append((xl[keep], xr[keep], vl[:, keep], vr[:, keep], turn[keep]))
         split = ~free & ~done
         xm = 0.5 * (xl[split] + xr[split])
         vm = np.stack(d(xm))
@@ -202,7 +206,7 @@ def scan_roots(
         np.concatenate((vl[0, cross], vl[0, turn][left], g_star[right])),
         refine_tol,
     )
-    roots = np.sort(np.concatenate((x_star[tangent], refined, xr[vr[0] == 0.0])))
+    roots = np.sort(np.concatenate((x_star[tangent], refined, *zeros)))
     return _merge_close(roots[roots > lo + refine_tol], refine_tol).tolist(), step
 
 

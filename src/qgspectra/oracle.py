@@ -32,29 +32,43 @@ widths and distances are its own and do not go through
 ``4*refine_tol`` of the last one kept.  A certified near-zero decision
 has to replace them too.
 
-One batched interval Newton (Moore; Tucker, *Validated Numerics*, 2011),
-each cell stopping on its own, refines the roots of ``g^(p)``: p = 0 for
-roots, p = 1 for extrema.  At the midpoint ``m`` of a cell of half-width
-``r`` it reads ``F = g^(p)(m)`` and ``D = g^(p+1)(m)``, with
-``e = err_p(m)`` and ``delta = B_{p+2} r + err_{p+1}(m)``.  Where
-``|D| > delta`` the root lies in ``m - [F - e, F + e] / [D - delta,
-D + delta]`` (mean value theorem), rounded outward by two ulps, and the
-cell is cut to that.  The cell is halved on the sign of ``F`` only where
-that sign is certain, ``|F| > e``, or Newton does not apply: a sign
-within rounding of zero could cut the root away.  A cell stops when it
-is at most ``refine_tol`` wide, at an exact zero ``F == 0``, or when
-Newton applies and ``|F| <= e``, since the enclosure, about ``2e/|D|``
-wide, is then as tight as rounding lets it be certified.
+Each root of ``g`` (p = 0) and each extremum, a root of ``g'`` (p = 1),
+is refined by ``trig.refine_roots``, the certified Halley refinement the
+solver uses, started at the secant point of the end values its cell
+already holds: every sign-change cell, both sides of each split
+extremum, and each extremum.  An element it certifies is within
+``refine_tol + 4*eps*|k|`` of a sign change of ``g^(p)``.  An element
+it leaves uncertified, which its step rule or a stall ends, as at a
+star's extremum at k = 0 or a near-double root, is refined again from
+its cell by ``_refine``.
+
+``_refine`` is a batched interval Newton (Moore; Tucker, *Validated
+Numerics*, 2011), each cell stopping on its own.  At the midpoint ``m``
+of a cell of half-width ``r`` it reads ``F = g^(p)(m)`` and
+``D = g^(p+1)(m)``, with ``e = err_p(m)`` and
+``delta = B_{p+2} r + err_{p+1}(m)``.  Where ``|D| > delta`` the root
+lies in ``m - [F - e, F + e] / [D - delta, D + delta]`` (mean value
+theorem), rounded outward by two ulps, and the cell is cut to that.  The
+cell is halved on the sign of ``F`` only where that sign is certain,
+``|F| > e``, or Newton does not apply: a sign within rounding of zero
+could cut the root away.  A cell stops when it is at most
+``refine_tol`` wide, at an exact zero ``F == 0``, or when Newton
+applies and ``|F| <= e``, since the enclosure, about ``2e/|D|`` wide,
+is then as tight as rounding lets it be certified.  So every root the
+scan reports carries a certificate.
 
 The floor rule has a blind spot: a tangency where ``g''`` is also within
 rounding of zero reaches the floor, and unless ``g`` changes sign there
 it is missed.  More generally, where ``|g|`` stays within ``err_0`` over
 a stretch, as around a triple root, the computed signs are rounding
-noise and each sign flip counts as a root.
+noise and each sign flip counts as a root.  Both hold whichever routine
+refines a cell's root, the certified one or ``_refine``: what the scan
+counts is decided by its cells alone.
 
 No derivative ladder, no separator structure, nothing imported from the
 solver; this is the reference implementation the fast solver is audited
-against, so it shares as little machinery with it as possible.
+against.  It shares with the solver only ``trig``: the evaluator, its
+bounds and the certified refinement, none of which decides a count.
 
 The Weyl audit checks the root count against the leading-order expectation
 ``s0 * k / pi``; for a regular function the deviation is bounded by the
@@ -69,7 +83,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import Derivatives, TrigSpectralFunction
+from .trig import Derivatives, TrigSpectralFunction, refine_roots
 
 __all__ = [
     "OracleReport",
@@ -147,6 +161,21 @@ def _refine(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
     return out
 
 
+def _certified_roots(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray,
+                     flo: np.ndarray, fhi: np.ndarray, x_max: float, tol: float) -> np.ndarray:
+    """The root of ``g^(p)`` in each cell ``[lo, hi]`` whose end values
+    ``flo`` and ``fhi`` differ in sign.
+
+    ``trig.refine_roots`` starts each cell at the secant point of its end
+    values; the cells it leaves uncertified go to ``_refine``.
+    """
+    start = lo + flo * (hi - lo) / (flo - fhi)
+    roots, certified = refine_roots(d, p, lo, hi, flo, start, x_max, tol)
+    rest = ~certified
+    roots[rest] = _refine(d, p, lo[rest], hi[rest], flo[rest], tol)
+    return roots
+
+
 def scan_roots(
     f: TrigSpectralFunction,
     window: tuple[float, float],
@@ -157,6 +186,11 @@ def scan_roots(
 
     Tangent roots are counted once.  Returns the roots and the starting
     cell width, ``pi/(4*s0)``; see the module docstring for the rules.
+    A root certified by ``trig.refine_roots`` lies within
+    ``refine_tol + 4*eps*|k|`` of a root of ``f``, the solver's rule,
+    rather than within ``refine_tol``: 2.3e-12 at k = 1500 with the
+    default ``refine_tol``.  Any other lies in its interval-Newton
+    enclosure, at most ``refine_tol`` wide or as tight as rounding allows.
     """
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
@@ -193,18 +227,20 @@ def scan_roots(
         vr = np.concatenate((vm, vr[:, split]), axis=1)
     xl, xr, vl, vr, turn = (np.concatenate(parts, axis=-1) for parts in zip(*settled))
 
-    x_star = _refine(d, 1, xl[turn], xr[turn], vl[1, turn], refine_tol)
+    x_star = _certified_roots(d, 1, xl[turn], xr[turn], vl[1, turn], vr[1, turn], hi,
+                              refine_tol)
     g_star = d.g(x_star)
     tangent = d.near_zero(g_star, coincidence_tol, x=x_star)
     left = ~tangent & (vl[0, turn] * g_star < 0.0)
     right = ~tangent & (vr[0, turn] * g_star < 0.0)
     cross = ~turn & (vl[0] * vr[0] < 0.0)
-    refined = _refine(
+    refined = _certified_roots(
         d, 0,
         np.concatenate((xl[cross], xl[turn][left], x_star[right])),
         np.concatenate((xr[cross], x_star[left], xr[turn][right])),
         np.concatenate((vl[0, cross], vl[0, turn][left], g_star[right])),
-        refine_tol,
+        np.concatenate((vr[0, cross], g_star[left], vr[0, turn][right])),
+        hi, refine_tol,
     )
     roots = np.sort(np.concatenate((x_star[tangent], refined, *zeros)))
     return _merge_close(roots[roots > lo + refine_tol], refine_tol).tolist(), step

@@ -45,25 +45,28 @@ and the window edges.  A table missing an even number of roots
 below the regular level passes both; catching that needs an exact
 per-level zero count.
 
-The bracket around each single sign change is then refined by a
-vectorized safeguarded Halley iteration on the analytic derivatives:
-``g_m' = s0 * g_{m+1}`` is the next level of the ladder, and
-``g_m'' = s0**2 * g_{m+2}`` is level m shifted by half a turn, so it reads
-the same cosines as ``g_m``.  One ``trig.Derivatives`` per level gives
-all three from one phase matrix per iteration, stacking the phases of
-levels m and m+1, and the rounding bounds the oracle uses too.  Every
-bracket runs between extrema, of the leading cosine at the regular level
-and of ``g_m`` on a descent, so the iteration starts at the root of the
-half cosine wave through the end values,
+The bracket around each single sign change is then refined by
+``trig.refine_roots``, a vectorized safeguarded Halley iteration that
+the oracle shares, on the analytic derivatives: ``g_m' = s0 * g_{m+1}``
+is the next level of the ladder, and ``g_m'' = s0**2 * g_{m+2}`` is
+level m shifted by half a turn, so it reads the same cosines as
+``g_m``.  One ``trig.Derivatives`` per level gives all three from one
+phase matrix per iteration, stacking the phases of levels m and m+1,
+and their rounding bounds.  Every bracket runs between extrema, of the
+leading cosine at the regular level and of ``g_m`` on a descent, so the
+iteration starts at the root of the half cosine wave through the end
+values,
 ``lo + (hi - lo)*arccos((flo + fhi)/(fhi - flo))/pi``, which is exact for
-a pure cosine.  After each evaluation at ``x``, the values already in hand
-test the Halley point ``y``: the quadratic Taylor model at ``x`` must
-certify a sign change of ``g`` within ``tol = root_tol + 4*eps*|y|`` of
-``y`` (``_certifier`` states the margin).  The bracket holds exactly one
-root, so that root is then within ``tol`` of ``y``, and ``y`` is
-returned; most brackets stop after two evaluations.  Where the test fails, Brent's stopping rule (the last step
-within ``tol``) ends the element; at large k, where the rounding of ``g``
-is wider than ``tol``, that is what ends the loop.  A bracket at most
+a pure cosine.  After each evaluation at ``x``, the values already in
+hand test the Halley point ``y``: the quadratic Taylor model at ``x``
+must certify a sign change of ``g`` within ``tol = root_tol + 4*eps*|y|``
+of ``y`` (``trig._certifier`` states the margin).  The bracket holds
+exactly one root, so that root is then within ``tol`` of ``y``, and
+``y`` is returned; most brackets stop after two evaluations.  Where the
+test fails, Brent's stopping rule (the last step within ``tol``) ends
+the element; at large k, where the rounding of ``g`` is wider than
+``tol``, that is what ends the loop.  An element still running after
+the iteration cap raises ``RefinementStall``.  A bracket at most
 ``2*root_tol`` wide is not refined: its midpoint is within ``root_tol``
 of its root.
 
@@ -84,12 +87,12 @@ from typing import Iterator
 import numpy as np
 
 from .trig import (
-    UNIT_ROUNDOFF,
     DerivativeLadder,
     Derivatives,
     TrigSpectralFunction,
     build_ladder,
     is_regular,
+    refine_roots,
     regularity_sum,
 )
 
@@ -109,15 +112,6 @@ __all__ = [
 
 INTERIOR = "interior"
 SEPARATOR_COINCIDENCE = "separator-coincidence"
-
-_MAX_ITER = 100
-# Relative part of the refinement stopping rule, as in Brent's method: at
-# large k the step noise of a double-precision root exceeds root_tol alone.
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
-# The certified stop tests points this far from the Halley point, so that
-# they stay within root_tol + _ROOT_RTOL*|k| of it after rounding.
-_END_RTOL = 3.0 * np.finfo(float).eps
-
 
 class RefinementStall(RuntimeError):
     """Bracketed refinement failed to converge."""
@@ -261,104 +255,21 @@ def regular_separators(f: TrigSpectralFunction, k_max: float) -> np.ndarray:
     return ks[(ks > 0.0) & (ks <= k_max)]
 
 
-def _rtsafe(derivs: Derivatives, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
-    """One root inside each sign-change bracket ``[lo, hi]``, all at once.
+def _bracket_roots(derivs: Derivatives, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
+    """The root inside each sign-change bracket ``[lo, hi]``, all at once.
 
     Every bracket runs between extrema, of the leading cosine or of the
-    level below, so the iteration starts at the root of the half cosine
-    wave through the end values, exact for a pure cosine.  It then takes
-    safeguarded Halley steps ``2*g*g' / (2*g'**2 - g*g'')`` when they stay
-    in the bracket and are at most half the step before last, and bisects
-    otherwise.  ``g'`` is ``s0`` times the next ladder level and ``g''`` is
-    read from the same cosines as ``g``, so one phase matrix per iteration
-    gives all three.
-
-    After each evaluation at ``x``, an element returns the Halley point
-    ``y`` once ``_certifier`` proves a sign change of ``g`` within
-    ``tol = root_tol + 4*eps*|y|`` of ``y``.  Otherwise the
-    element stops when its last step is within ``tol`` (Brent's default
-    stopping rule); at large k, where the rounding of ``g`` is wider than
-    ``tol``, that rule is what ends the loop.  Only unfinished elements
-    are evaluated again.
+    level below, so ``trig.refine_roots`` starts at the root of the half
+    cosine wave through the end values, exact for a pure cosine.  A
+    stalled element raises ``RefinementStall``.
     """
-    certified = _certifier(derivs, float(hi.max(initial=0.0)), root_tol)
-    out = np.empty_like(lo)
-    idx = np.arange(lo.size)
-    neg_lo = flo < 0.0
-    lo0, hi0 = lo, hi
-    x = lo + (hi - lo) * np.arccos((flo + fhi) / (fhi - flo)) / math.pi
-    step = step_old = hi - lo
-    for _ in range(_MAX_ITER):
-        gx, dg, d2g = derivs(x)
-        left = (gx < 0.0) == neg_lo
-        lo = np.where(left, x, lo)
-        hi = np.where(left, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            halley = np.where(gx == 0.0, 0.0, 2.0 * gx * dg / (2.0 * dg * dg - gx * d2g))
-            y = x - halley
-            cert = certified(x, gx, dg, d2g, y, lo0, hi0, neg_lo)
-        take = (lo <= y) & (y <= hi) & (2.0 * np.abs(halley) <= step_old)
-        half = 0.5 * (hi - lo)
-        xn = np.where(take, y, lo + half)
-        step_old, step = step, np.where(take, np.abs(halley), half)
-        done = cert | (xn == x) | (step <= root_tol + _ROOT_RTOL * np.abs(xn))
-        out[idx[done]] = np.where(cert, y, xn)[done]
-        keep = ~done
-        idx, x, lo, hi, neg_lo = idx[keep], xn[keep], lo[keep], hi[keep], neg_lo[keep]
-        step, step_old = step[keep], step_old[keep]
-        lo0, hi0 = lo0[keep], hi0[keep]
-        if not idx.size:
-            return out
-    raise RefinementStall(f"refinement stall on [{lo[0]}, {hi[0]}] after {_MAX_ITER} iterations")
-
-
-def _certifier(derivs: Derivatives, x_max: float, root_tol: float):
-    """A test of where ``g`` provably has its root within the tolerance of ``y``.
-
-    The test reads ``g``, ``g'`` and ``g''`` as computed at ``x`` in
-    ``[0, x_max]``, and the bracket ``[lo, hi]`` the refinement started
-    from.  It checks the ends ``z = y -+ t``, with
-    ``t = root_tol + 3*eps*|y|`` so that a rounded end is still within the
-    tolerance of ``y``.  With ``d = z - x``, the quadratic Taylor model
-    ``g + g'*d + g''*d**2/2`` is within
-
-        e_0 + |d|*e_1 + d**2*e_2/2 + B_3*|d|**3/6
-
-    of the true ``g(z)``.  ``e_p`` is the rounding bound ``derivs.err(p, .)``
-    of the computed ``g^(p)`` (derived in ``trig.Derivatives``), taken at
-    ``x`` for ``e_0`` and at ``x_max`` for the others, whose terms are tiny
-    at the ``|d|`` where the test can pass.  ``B_3 = derivs.B[3]`` bounds
-    the third derivative, so the last term is Taylor's remainder.  Eight ulps of
-    ``B_0 + B_1*|d| + B_2*d**2/2``, which bound the model's terms, cover its
-    own evaluation.  Where the model clears that margin at both ends with
-    the signs of ``g`` at ``lo`` and at ``hi``, ``g`` has a root between
-    them.  The bracket holds exactly one root: the ``theta'`` bound at the
-    regular level, monotonicity between the upper roots on a descent.  So
-    the ends must also lie in the bracket, and then that root is within
-    ``root_tol + 4*eps*|y|`` of ``y``.
-    """
-    b = derivs.B
-    ulps = 8.0 * UNIT_ROUNDOFF
-    # The margin past e_0(x), in powers of |d|.
-    c0 = ulps * b[0]
-    c1 = derivs.err(1, x_max) + ulps * b[1]
-    c2 = 0.5 * (derivs.err(2, x_max) + ulps * b[2])
-    c3 = b[3] / 6.0
-
-    def certified(x, g, dg, d2g, y, lo, hi, neg_lo) -> np.ndarray:
-        t = root_tol + _END_RTOL * np.abs(y)
-        z0, z1 = y - t, y + t
-        d0, d1 = z0 - x, z1 - x
-        r = np.maximum(np.abs(d0), np.abs(d1))
-        margin = derivs.err(0, x) + (c0 + r * (c1 + r * (c2 + r * c3)))
-        half = 0.5 * d2g
-        # Positive where the model has the sign of g at lo (at z0) or at hi (at z1).
-        side = 1.0 - 2.0 * neg_lo
-        m0 = side * (g + d0 * (dg + d0 * half))
-        m1 = -side * (g + d1 * (dg + d1 * half))
-        return (m0 > margin) & (m1 > margin) & (lo <= z0) & (z1 <= hi)
-
-    return certified
+    start = lo + (hi - lo) * np.arccos((flo + fhi) / (fhi - flo)) / math.pi
+    ks, _ = refine_roots(derivs, 0, lo, hi, flo, start, float(hi.max(initial=0.0)), root_tol)
+    stalled = np.flatnonzero(np.isnan(ks))
+    if stalled.size:
+        i = stalled[0]
+        raise RefinementStall(f"refinement stall on [{lo[i]}, {hi[i]}]")
+    return ks
 
 
 def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level: int,
@@ -405,7 +316,7 @@ def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level
     nv, iv = iv[narrow], iv[~narrow]
     interior = np.concatenate((
         0.5 * (pts[nv] + pts[nv + 1]),
-        _rtsafe(derivs, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol),
+        _bracket_roots(derivs, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol),
     ))
 
     ks = np.concatenate((pts[coinc], interior, pts[-1:] if edge else pts[:0]))

@@ -22,6 +22,7 @@ from qgspectra import (
     solve_ladder,
     weyl_audit,
 )
+from qgspectra.trig import refine_roots
 
 
 def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
@@ -32,7 +33,9 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
     own and either settled or split into two that are classified next.
     ``g``, ``g'`` and ``g''`` all come from one-point ``Derivatives`` calls,
     refinement included, so the comparison also holds the batched scan's
-    ``Derivatives.g`` calls to the stacked evaluation's bits.
+    ``Derivatives.g`` calls to the stacked evaluation's bits.  Each root
+    is refined on its own by ``trig.refine_roots``, with the scan's
+    ``x_max``, and by interval Newton where that leaves it uncertified.
     """
     lo, hi = window
     u = 2.0 ** -53
@@ -82,6 +85,13 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
                 break
         return 0.5 * (a + b)
 
+    def refine(p, a, b, fa, fb):
+        # The certified refinement from the secant point, one cell at a time.
+        x0 = a + fa * (b - a) / (fa - fb)
+        root, certified = refine_roots(values, p, *map(np.array, ([a], [b], [fa], [x0])),
+                                       hi, refine_tol)
+        return float(root[0]) if certified[0] else root_refine(p, a, b, fa)
+
     roots = []
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1).tolist()
     stack = [(a, b, point(a), point(b)) for a, b in zip(xs, xs[1:])]
@@ -103,17 +113,17 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
         if vb[0] == 0.0:
             roots.append(b)
         if ext and not mono and va[1] * vb[1] < 0.0:
-            x = root_refine(1, a, b, va[1])
+            x = refine(1, a, b, va[1], vb[1])
             gx = point(x)[0]
             if abs(gx) <= err(0, x) and abs(gx) <= coincidence_tol * scale:
                 roots.append(x)
                 continue
             if va[0] * gx < 0.0:
-                roots.append(root_refine(0, a, x, va[0]))
+                roots.append(refine(0, a, x, va[0], gx))
             if vb[0] * gx < 0.0:
-                roots.append(root_refine(0, x, b, gx))
+                roots.append(refine(0, x, b, gx, vb[0]))
         elif va[0] * vb[0] < 0.0:
-            roots.append(root_refine(0, a, b, va[0]))
+            roots.append(refine(0, a, b, va[0], vb[0]))
 
     out = []
     for r in sorted(roots):
@@ -251,45 +261,88 @@ class TestScanRoots:
         assert roots == pytest.approx(sol.spectrum.ks, abs=1e-10)
 
 
-def refine_calls(monkeypatch, f, window):
-    """Scan ``f`` over ``window`` and return each ``_refine`` call's
-    ``(p, lo, hi, out, calls)``, ``calls`` counting each element's evaluations."""
-    refine = qgspectra.oracle._refine
+def refinements(monkeypatch, f, window):
+    """Scan ``f`` over ``window`` and record each of its two refinements.
+
+    The records come extrema (``p = 1``) first.  Each holds the cells
+    ``lo`` and ``hi``, the ``certified`` mask of ``trig.refine_roots``, the
+    cells ``fallback`` that ``_refine`` received, the final ``roots``, and
+    each cell's evaluations: ``calls`` by the certified refinement and
+    ``newton`` by ``_refine``.
+    """
+    oracle = qgspectra.oracle
+    certify, refine, scan = oracle.refine_roots, oracle._refine, oracle._certified_roots
     log = []
 
-    def counted(d, p, lo, hi, flo, tol):
+    def counter(d, lo):
         order = np.argsort(lo)
         calls = np.zeros(lo.size, dtype=int)
 
-        def tally(x):
+        def tally(x, *p):
             calls[order[np.searchsorted(lo[order], x, side="right") - 1]] += 1
-            return d(x)
+            return d(x, *p)
 
-        out = refine(FakeDerivatives(tally, d.B, d.err), p, lo, hi, flo, tol)
-        log.append((p, lo, hi, out, calls))
+        return calls, FakeDerivatives(tally, d.B, d.err)
+
+    def certified(d, p, lo, hi, flo, x, x_max, tol):
+        calls, counted = counter(d, lo)
+        roots, sure = certify(counted, p, lo, hi, flo, x, x_max, tol)
+        log.append(SimpleNamespace(p=p, lo=lo, hi=hi, certified=sure, calls=calls))
+        return roots, sure
+
+    def fallback(d, p, lo, hi, flo, tol):
+        calls, counted = counter(d, lo)
+        out = refine(counted, p, lo, hi, flo, tol)
+        rec = log[-1]
+        rec.fallback, rec.newton = lo, np.zeros_like(rec.calls)
+        rec.newton[~rec.certified] = calls
         return out
 
-    monkeypatch.setattr(qgspectra.oracle, "_refine", counted)
+    def recorded(*args):
+        roots = scan(*args)
+        log[-1].roots = roots
+        return roots
+
+    monkeypatch.setattr(oracle, "refine_roots", certified)
+    monkeypatch.setattr(oracle, "_refine", fallback)
+    monkeypatch.setattr(oracle, "_certified_roots", recorded)
     scan_roots(f, window)
     return log
 
 
-def mp_function(mpmath, f):
-    """``f`` at ``mpmath``'s working precision, on the same float coefficients."""
+def mp_function(mpmath, f, p=0):
+    """The p-th derivative of ``f`` at ``mpmath``'s working precision, on
+    the same float coefficients."""
     rows = [(f.s0, f.gamma0, -1.0)] + [tuple(t) for t in f.terms]
-    return lambda x: -mpmath.fsum(a * mpmath.cos(s * x - mpmath.pi * g) for s, g, a in rows)
+    # d^p/dk^p cos(s*k - c) = s**p * cos(s*k - c + p*pi/2)
+    return lambda x: -mpmath.fsum(a * s ** p * mpmath.cos(s * x - mpmath.pi * (g - p / 2))
+                                  for s, g, a in rows)
+
+
+def assert_roots_match_mpmath(mpmath, f, rec, tol):
+    """Each root of ``rec`` lies in its cell and near a root of ``g^(p)``:
+    within ``tol + 4*eps*|k|``, or within rounding's ``2*err_p/|g^(p+1)|``."""
+    g, dg = mp_function(mpmath, f, rec.p), mp_function(mpmath, f, rec.p + 1)
+    d = Derivatives(f)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for x, a, z in zip(rec.roots.tolist(), rec.lo.tolist(), rec.hi.tolist()):
+            root = mpmath.findroot(g, mpmath.mpf(x))
+            assert a <= x <= z
+            slack = max(tol + 4.0 * eps * x, 2.0 * d.err(rec.p, x) / abs(float(dg(root))))
+            assert abs(x - float(root)) <= slack
 
 
 class FakeDerivatives:
-    """Stands in for ``trig.Derivatives`` in ``_refine``: ``values(x)`` gives
-    ``g``, ``g'`` and ``g''``, ``B`` the derivative bounds and ``err`` the
-    rounding bound; both bounds are zero unless given."""
+    """Stands in for ``trig.Derivatives``: ``values(x)`` gives ``g``, ``g'``
+    and ``g''`` (``values(x, p)`` from ``g^(p)`` on), ``B`` the derivative
+    bounds and ``err`` the rounding bound; both bounds are zero unless given."""
 
     def __init__(self, values, B=(0.0,) * 4, err=lambda p, x: 0.0):
         self.values, self.B, self.err = values, B, err
 
-    def __call__(self, x):
-        return self.values(x)
+    def __call__(self, x, *p):
+        return self.values(x, *p)
 
 
 class TestRefine:
@@ -334,10 +387,10 @@ class TestRefine:
         cases = [(worked_star, (0.0, 12.0)), (worked_star, (1490.0, 1500.0)),
                  (worked_chain, (1490.0, 1500.0)), (shifted_star(1e-11), (0.0, 4.0))]
         for f, window in cases:
-            log = refine_calls(monkeypatch, f, window)
-            assert {p for p, *_ in log} == {0, 1}
-            for _, lo, hi, _, calls in log:
-                assert np.all(calls <= np.ceil(np.log2((hi - lo) / 1e-12)))
+            log = refinements(monkeypatch, f, window)
+            assert [rec.p for rec in log] == [1, 0]
+            for rec in log:
+                assert np.all(rec.newton <= np.ceil(np.log2((rec.hi - rec.lo) / 1e-12)))
 
     def test_halving_alone_can_take_one_step_more(self):
         # g' reads 0, so Newton never applies and every step halves.  Far
@@ -356,33 +409,41 @@ class TestRefine:
         assert abs(out[0] - root) <= tol
         assert len(calls) == math.ceil(math.log2((hi - lo) / tol)) + 1
 
-    def test_monotone_cells_near_1500_take_at_most_eight_calls(self, monkeypatch, worked_chain):
-        log = refine_calls(monkeypatch, worked_chain, (1490.0, 1500.0))
-        (_, lo, hi, _, calls), = [entry for entry in log if entry[0] == 0]
+    def test_monotone_cells_near_1500_take_at_most_three_calls(self, monkeypatch, worked_chain):
+        _, rec = refinements(monkeypatch, worked_chain, (1490.0, 1500.0))
+        lo, hi = rec.lo, rec.hi
         # The cell rule for a proven-monotone cell, read at both ends.
         d = Derivatives(worked_chain)
         slope = np.maximum(np.abs(d(lo)[1]), np.abs(d(hi)[1]))
         mono = slope > d.B[2] * (hi - lo) + d.err(1, hi)
         assert mono.sum() >= 50
-        assert calls[mono].max() <= 8
+        assert (rec.calls + rec.newton)[mono].max() <= 3
 
     def test_roots_match_mpmath(self, monkeypatch, worked_star, worked_chain):
+        # Roots (p = 0) and extrema (p = 1), certified or not.
         mpmath = pytest.importorskip("mpmath")
-        tol = 1e-12
         cases = [(worked_star, (0.0, 12.0)), (worked_star, (1490.0, 1500.0)),
-                 (worked_chain, (1490.0, 1500.0))]
+                 (worked_chain, (1490.0, 1500.0)), (worked_chain, (0.0, 12.0))]
+        extrema = 0
         for f, window in cases:
-            g = mp_function(mpmath, f)
-            d = Derivatives(f)
-            (_, lo, hi, out, _), = [entry for entry in refine_calls(monkeypatch, f, window)
-                                    if entry[0] == 0]
-            with mpmath.workdps(50):
-                for x, a, z in zip(out.tolist(), lo.tolist(), hi.tolist()):
-                    root = mpmath.findroot(g, mpmath.mpf(x))
-                    assert a <= root <= z
-                    err0 = d.err(0, x)
-                    slack = max(tol, 2.0 * err0 / abs(float(mpmath.diff(g, root))))
-                    assert abs(x - float(root)) <= slack
+            for rec in refinements(monkeypatch, f, window):
+                assert_roots_match_mpmath(mpmath, f, rec, 1e-12)
+                extrema += rec.p * rec.roots.size
+        assert extrema > 0
+
+    def test_uncertified_elements_fall_back_to_interval_newton(self, monkeypatch):
+        # Near k = 1e4 the rounding bound is wide enough that the certified
+        # stop leaves a few roots to the step rule.  Exactly those go to
+        # _refine, whose enclosure holds the true root.
+        mpmath = pytest.importorskip("mpmath")
+        f = random_star(random.Random(3))
+        _, rec = refinements(monkeypatch, f, (1e4, 1e4 + 10.0))
+        rest = ~rec.certified
+        assert 0 < rest.sum() < rec.certified.sum()
+        assert rec.fallback.tolist() == rec.lo[rest].tolist()
+        assert np.all(rec.newton[rec.certified] == 0) and np.all(rec.newton[rest] > 0)
+        assert_roots_match_mpmath(mpmath, f, SimpleNamespace(
+            p=0, roots=rec.roots[rest], lo=rec.lo[rest], hi=rec.hi[rest]), 1e-12)
 
     def test_value_within_rounding_stops_with_the_newton_enclosure(self):
         # g has slope 1 and its true root at 0.5 + 2e-10, but reads 3e-10

@@ -299,7 +299,7 @@ class TestDescend:
     def test_iteration_cap_raises_refinement_stall(self, worked_star, monkeypatch):
         # Between the extrema of a pure cosine the arc start is already the
         # root, so the input must have terms.
-        monkeypatch.setattr(solver, "_MAX_ITER", 1)
+        monkeypatch.setattr(trig, "_MAX_ITER", 1)
         with pytest.raises(RefinementStall, match="refinement stall"):
             solve_ladder(worked_star, SolverConfig(k_max=10.0))
 
@@ -316,9 +316,9 @@ class TestDescend:
                     self.sizes = []
                     levels.append(self.sizes)
 
-                def __call__(self, x):
+                def __call__(self, x, p=0):
                     self.sizes.append(x.size)
-                    g, dg, d2g = super().__call__(x)
+                    g, dg, d2g = super().__call__(x, p)
                     return g, dg, 0.0 * d2g if newton else d2g
 
             monkeypatch.setattr(solver, "Derivatives", Counting)
@@ -444,20 +444,15 @@ class TestCertifiedStop:
         # B_1/6.  Some level-1 roots near k = 7.5e4, where |g'| = 134/19,
         # miss it and are ended by the step rule.  Every level keeps the
         # counts the solver gave before the certificate existed.
-        make = solver._certifier
+        refine = solver.refine_roots
         fired = []
 
         def counting(*args):
-            certified = make(*args)
+            roots, certified = refine(*args)
+            fired.append(int(certified.sum()))
+            return roots, certified
 
-            def counted(*values):
-                out = certified(*values)
-                fired.append(int(out.sum()))
-                return out
-
-            return counted
-
-        monkeypatch.setattr(solver, "_certifier", counting)
+        monkeypatch.setattr(solver, "refine_roots", counting)
         sol = solve_ladder(worked_star, SolverConfig(k_max=1e5))
         assert [len(t) for t in sol.tables] == [604788, 572957]
         assert [int(t.coincident.sum()) for t in sol.tables] == [0, 31830]

@@ -292,23 +292,68 @@ class TestDerivatives:
     @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
     def test_rounding_bound_covers_the_evaluator(self, rows):
         # Against 30-digit values at the same float points, each computed
-        # g^(p) is within err(p, k), and B_p bounds its size.
+        # g^(p), p = 0..3, is within err(p, k), and B_p bounds its size;
+        # B_4 bounds the fourth derivative, the remainder of the Taylor
+        # model that certifies extrema.
         mpmath = pytest.importorskip("mpmath")
         f = derivative_level(KERNEL_FNS[rows], 1)
         d = Derivatives(f)
         x = np.concatenate((np.linspace(0.0, 50.0, 21), 1e4 + np.linspace(0.0, 5.0, 11),
                             1e7 + np.linspace(0.0, 1.0, 5), 1e8 + np.linspace(0.0, 1.0, 5)))
-        computed = d(x)
+        computed = d(x) + d(x, 1)[2:]
         rows_mp = [(mpmath.mpf(s), mpmath.pi * g, mpmath.mpf(a)) for s, g, a in
                    [(f.s0, f.gamma0, -1.0)] + [tuple(t) for t in f.terms]]
         with mpmath.workdps(30):
             for i, k in enumerate(x.tolist()):
-                for p in range(3):
+                for p in range(5):
                     # d^p/dk^p cos(s*k - c) = s**p * cos(s*k - c + p*pi/2)
                     exact = -mpmath.fsum(a * s ** p * mpmath.cos(s * k - pg + p * mpmath.pi / 2)
                                          for s, pg, a in rows_mp)
+                    if p == 4:
+                        assert abs(exact) <= d.B[4]
+                        continue
                     assert abs(computed[p][i] - exact) <= d.err(p, k)
                     assert abs(computed[p][i]) <= d.B[p] * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("rows", sorted(KERNEL_FNS))
+    def test_slopes_read_the_same_cosines(self, rows):
+        # d(x, 1) gives g' and g'' bitwise as d(x) does, and the third
+        # derivative from the level-1 cosines damped by (s/s0)**2.
+        f = KERNEL_FNS[rows]
+        d = Derivatives(f)
+        width = trig._BLOCK_ELEMENTS // (2 * rows)
+        for n in (0, 1, width, width + 1):
+            x = np.linspace(0.0, 60.0, n)
+            _, dg, d2g = d(x)
+            slope, curvature, d3g = d(x, 1)
+            assert_bitwise(slope, dg)
+            assert_bitwise(curvature, d2g)
+            third = f.s0 * Derivatives(derivative_level(f, 1))(x)[2]
+            scale = f.s0 ** 3 * (1.0 + regularity_sum(f))
+            assert np.allclose(d3g, third, rtol=0.0, atol=1e-13 * scale)
+
+    def test_refinement_reports_certified_and_stalled_roots(self, worked_chain, monkeypatch):
+        # Roots (p = 0) and extrema (p = 1) of the worked chain, whose
+        # levels 0 and 1 are regular, between the extrema of their leading
+        # cosines: each bracket holds one root, certified within
+        # tol + 4*eps*|k|.  An element still running at the iteration cap
+        # comes back NaN and uncertified.
+        f = worked_chain
+        d = Derivatives(f)
+        assert d.regular(0) and d.regular(1)
+        for p in (0, 1):
+            edges = (f.gamma0 - 0.5 * p + np.arange(1.0, 40.0)) * math.pi / f.s0
+            v = d(edges, p)[0]
+            assert np.all(v[:-1] * v[1:] < 0.0)
+            lo, hi, flo = edges[:-1], edges[1:], v[:-1]
+            roots, certified = trig.refine_roots(d, p, lo, hi, flo, 0.5 * (lo + hi), hi[-1], 1e-12)
+            assert certified.all()
+            tol = 1e-12 + 4.0 * np.finfo(float).eps * roots
+            assert np.all(d(roots - tol, p)[0] * d(roots + tol, p)[0] < 0.0)
+            monkeypatch.setattr(trig, "_MAX_ITER", 1)
+            roots, certified = trig.refine_roots(d, p, lo, hi, flo, lo, hi[-1], 1e-12)
+            assert np.isnan(roots[~certified]).all() and (~certified).any()
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_near_zero_threshold_is_inclusive(self, worked_star, level):

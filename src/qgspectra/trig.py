@@ -451,9 +451,9 @@ def refine_roots(d: Derivatives, p: int, lo, hi, flo, x, x_max: float,
     ones.  An element still running after ``_MAX_ITER`` evaluations has
     stalled; its root is NaN.
     """
-    certified = _certifier(d, p, x_max, tol)
+    certify = _certifier(d, p, x_max, tol)
     roots = np.full(lo.size, np.nan)
-    sure = np.zeros(lo.size, dtype=bool)
+    certified = np.zeros(lo.size, dtype=bool)
     idx = np.arange(lo.size)
     neg_lo = flo < 0.0
     lo0, hi0 = lo, hi
@@ -466,21 +466,21 @@ def refine_roots(d: Derivatives, p: int, lo, hi, flo, x, x_max: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             halley = np.where(gx == 0.0, 0.0, 2.0 * gx * dg / (2.0 * dg * dg - gx * d2g))
             y = x - halley
-            cert = certified(x, gx, dg, d2g, y, lo0, hi0, neg_lo)
+            cert = certify(x, gx, dg, d2g, y, lo0, hi0, neg_lo)
         take = (lo <= y) & (y <= hi) & (2.0 * np.abs(halley) <= step_old)
         half = 0.5 * (hi - lo)
         xn = np.where(take, y, lo + half)
         step_old, step = step, np.where(take, np.abs(halley), half)
         done = cert | (xn == x) | (step <= tol + _ROOT_RTOL * np.abs(xn))
         roots[idx[done]] = np.where(cert, y, xn)[done]
-        sure[idx[done]] = cert[done]
+        certified[idx[done]] = cert[done]
         keep = ~done
         idx, x, lo, hi, neg_lo = idx[keep], xn[keep], lo[keep], hi[keep], neg_lo[keep]
         step, step_old = step[keep], step_old[keep]
         lo0, hi0 = lo0[keep], hi0[keep]
         if not idx.size:
             break
-    return roots, sure
+    return roots, certified
 
 
 def _certifier(d: Derivatives, p: int, x_max: float, tol: float):

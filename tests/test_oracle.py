@@ -266,9 +266,9 @@ def refinements(monkeypatch, f, window):
 
     The records come extrema (``p = 1``) first.  Each holds the cells
     ``lo`` and ``hi``, the ``certified`` mask of ``trig.refine_roots``, the
-    cells ``fallback`` that ``_refine`` received, the final ``roots``, and
-    each cell's evaluations: ``calls`` by the certified refinement and
-    ``newton`` by ``_refine``.
+    cells ``fallback`` that ``_refine`` received and the ``enclosed``
+    roots it returned, the final ``roots``, and each cell's evaluations:
+    ``calls`` by the certified refinement and ``newton`` by ``_refine``.
     """
     oracle = qgspectra.oracle
     certify, refine, scan = oracle.refine_roots, oracle._refine, oracle._certified_roots
@@ -294,7 +294,7 @@ def refinements(monkeypatch, f, window):
         calls, counted = counter(d, lo)
         out = refine(counted, p, lo, hi, flo, tol)
         rec = log[-1]
-        rec.fallback, rec.newton = lo, np.zeros_like(rec.calls)
+        rec.fallback, rec.enclosed, rec.newton = lo, out, np.zeros_like(rec.calls)
         rec.newton[~rec.certified] = calls
         return out
 
@@ -380,17 +380,22 @@ class TestRefine:
 
     def test_scanned_elements_take_at_most_the_halving_count(
             self, monkeypatch, worked_star, worked_chain, shifted_star):
-        # On these scans Newton cuts nearly every step, so no element needs
-        # more evaluations than halving its cell down to tol would.  This
-        # is a property of the scans, not of the routine: halving alone can
-        # take one step more (next test).
+        # On these scans Newton cuts nearly every step, so no element the
+        # certified stop leaves to _refine needs more evaluations there than
+        # halving its cell down to tol would.  This is a property of the
+        # scans, not of the routine: halving alone can take one step more
+        # (next test).  The star's extremum at k = 0 and the near-double
+        # roots of the shifted star fall back.
         cases = [(worked_star, (0.0, 12.0)), (worked_star, (1490.0, 1500.0)),
                  (worked_chain, (1490.0, 1500.0)), (shifted_star(1e-11), (0.0, 4.0))]
+        fell_back = 0
         for f, window in cases:
             log = refinements(monkeypatch, f, window)
             assert [rec.p for rec in log] == [1, 0]
             for rec in log:
                 assert np.all(rec.newton <= np.ceil(np.log2((rec.hi - rec.lo) / 1e-12)))
+                fell_back += int((rec.newton > 0).sum())
+        assert fell_back >= 4
 
     def test_halving_alone_can_take_one_step_more(self):
         # g' reads 0, so Newton never applies and every step halves.  Far
@@ -441,6 +446,7 @@ class TestRefine:
         rest = ~rec.certified
         assert 0 < rest.sum() < rec.certified.sum()
         assert rec.fallback.tolist() == rec.lo[rest].tolist()
+        assert rec.roots[rest].tolist() == rec.enclosed.tolist()
         assert np.all(rec.newton[rec.certified] == 0) and np.all(rec.newton[rest] > 0)
         assert_roots_match_mpmath(mpmath, f, SimpleNamespace(
             p=0, roots=rec.roots[rest], lo=rec.lo[rest], hi=rec.hi[rest]), 1e-12)

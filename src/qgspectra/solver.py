@@ -70,6 +70,33 @@ the iteration cap raises ``RefinementStall``.  A bracket at most
 ``2*root_tol`` wide is not refined: its midpoint is within ``root_tol``
 of its root.
 
+A commensurate sum, whose actions are all integer multiples of one unit
+``omega``, satisfies ``g(k + P) = g(k)`` exactly with ``P = 2*pi/omega``
+(``trig.period``), at every level of the ladder.  For a window longer
+than ``2*P``, ``solve_ladder`` runs the sweep and the descents above only
+on a head window of about ``3*P`` and tiles the rest.  Each level is cut
+at three of its own boundaries a period apart, ``low < mid < cut``: the
+top level at its separators, with ``cut`` the last one at or below
+``2.5*P``, and each level below at the roots of the level above that
+bound that level's two periods.  A level keeps its head roots up to
+``cut``, followed by the images ``r + q*P``, q = 2, 3, ..., of its head
+roots in ``(low, mid]``, the period whose roots carry the least rounding,
+each with its root's ``coincident`` flag.  Each image is rounded once from
+the exact double-double sum.  So every kept head root comes from a
+bracket that ends at or below ``cut``, touching neither the head's end
+nor the window's, and the tables below ``k_max`` do not depend on it; and
+a coincident image is bitwise the image of the root of the level above
+that it sits on.  On this path a root is in the window when its image is
+at most ``k_max``; ``_sweep`` judges the window end by its value instead.
+The certificate of an image is its root's: the stored sum is exactly
+periodic, so ``r* + q*P`` is a root wherever ``r*`` is, and the one
+rounding takes a root within ``root_tol + 4*eps*r`` of ``r*`` to an image
+within ``root_tol + 4*eps*k`` of ``r* + q*P``.  The direct pipeline
+answers instead when a level has no root below its lower period in the
+head, when a cut falls at or below ``2*P``, where windows switch paths,
+or when the head's two periods below the cut differ in their
+coincidences.
+
 A level's roots are kept as a ``RootTable`` of two columns: the ascending
 roots ``ks`` (float64) and a bool mask ``coincident`` of those found on a
 separator.  Each column goes as is to the next level down, to the oracle's
@@ -81,7 +108,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -90,8 +117,10 @@ from .trig import (
     DerivativeLadder,
     Derivatives,
     TrigSpectralFunction,
+    Period,
     build_ladder,
     is_regular,
+    period,
     refine_roots,
     regularity_sum,
 )
@@ -306,6 +335,8 @@ def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level
                                    tuple(pts[ends].tolist()), level, tuple(vals[ends].tolist()))
     skip = coinc[:-1] | coinc[1:]
     skip[0] |= small[0]
+    # A tiled table (solve_ladder) has no window-end value to judge: there
+    # a root is in the window when its image is at most k_max.
     edge = bool(small[-1] and not skip[-1])
     skip[-1] |= edge
 
@@ -357,6 +388,45 @@ def _check_count(derivs: Derivatives, level: int, roots: RootTable, cfg: SolverC
             (cfg.root_tol, cfg.k_max), roots.level - 1, tuple(g.tolist()))
 
 
+def _solve_direct(ladder: DerivativeLadder, cfg: SolverConfig) -> LadderSolution:
+    """The tables of every level of ``ladder`` over (0, k_max], swept and
+    descended over the whole window."""
+    order = ladder.order
+    top = Derivatives(ladder.top)
+    seps = regular_separators(ladder.top, cfg.k_max)
+    tables = [_sweep(top, seps, cfg, order)]
+    if order == 0:
+        # No descent checks level 0 against its separators, so check it here.
+        _check_count(top, 0, tables[0], cfg)
+    for m in range(order - 1, -1, -1):
+        tables.append(descend_level(ladder[m], tables[-1], cfg))
+    return LadderSolution(ladder=ladder, tables=tuple(tables))
+
+
+def _images(ks: np.ndarray, per: Period, start: int, stop: int) -> np.ndarray:
+    """``ks + q*P`` for q = start..stop-1, q-major, each rounded once.
+
+    ``P = per.hi + per.lo`` is split into ``hi``, short enough that
+    ``q*hi`` is exact, and the rest.  TwoSum gives ``ks + q*hi`` as an
+    exact pair, and the rest times q joins its error before the one
+    rounding of the result.
+    """
+    bits = 53 - stop.bit_length()
+    mantissa, exponent = math.frexp(per.hi)
+    hi = math.ldexp(math.floor(math.ldexp(mantissa, bits)), exponent - bits)
+    q = np.arange(float(start), float(stop))[:, None]
+    shift = q * hi
+    s = shift + ks
+    v = s - shift
+    err = ks - v
+    v -= s
+    v += shift
+    err += v
+    err += q * ((per.hi - hi) + per.lo)
+    s += err
+    return s.ravel()
+
+
 def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     """Complete spectrum of ``f`` over (0, k_max].
 
@@ -364,6 +434,12 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     between leading-cosine extrema, then walks the ladder back down with
     each level's roots separating the next.  Root tables are returned for
     every level, ordered M..0; eigenvalues are the squared level-0 roots.
+
+    When ``trig.period`` finds the period ``P`` of ``f`` and the window is
+    longer than ``2*P``, that pipeline runs only on a head window of about
+    ``3*P``, and each level's table is tiled from the head's (see the
+    module docstring).  Shorter windows, sums without a period and levels
+    too sparse to tile take the whole window through the pipeline.
     """
     spacing = math.pi / f.s0
     # A root is placed within root_tol, so a tolerance of half the
@@ -374,13 +450,32 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
             f"separator spacing pi/s0 = {spacing}"
         )
     ladder = build_ladder(f, cfg.max_order)
-    order = ladder.order
-    top = Derivatives(ladder.top)
-    seps = regular_separators(ladder.top, cfg.k_max)
-    tables = [_sweep(top, seps, cfg, order)]
-    if order == 0:
-        # No descent checks level 0 against its separators, so check it here.
-        _check_count(top, 0, tables[0], cfg)
-    for m in range(order - 1, -1, -1):
-        tables.append(descend_level(ladder[m], tables[-1], cfg))
+    per = period(f)
+    if per is None or not cfg.k_max > 2.0 * per.hi:
+        return _solve_direct(ladder, cfg)
+    # The top level's separators are (gamma + n)*spacing, per.roots of
+    # them to a period.  Cut at the last one at or below 2.5 periods, and
+    # end the head half a period above it, on a separator too.
+    gamma = ladder.top.gamma0
+    n = math.floor(2.5 * per.roots - gamma)
+    head = _solve_direct(ladder, replace(cfg, k_max=(gamma + n + per.roots // 2) * spacing))
+    # Each level is cut at three of its boundaries a period apart: the cut
+    # itself, the middle and the low end.
+    cut = (gamma + n) * spacing
+    bounds = (cut - 2.0 * per.hi, cut - per.hi, cut)
+    tables = []
+    for t in head.tables:
+        low, mid, keep = np.searchsorted(t.ks, bounds, side="right")
+        # Below 2*P the direct pipeline answers, so every cut must lie
+        # above it, and the head's two periods below the cut must agree.
+        if not (low and bounds[2] > 2.0 * per.hi and np.array_equal(
+                t.coincident[low:mid], t.coincident[mid:keep])):
+            return _solve_direct(ladder, cfg)
+        # The lower period is imaged, where the roots carry the least rounding.
+        stop = int((cfg.k_max - bounds[0]) // per.hi) + 2
+        ks = np.concatenate((t.ks[:keep], _images(t.ks[low:mid], per, 2, stop)))
+        coincident = np.concatenate((t.coincident[:keep], np.tile(t.coincident[low:mid], stop - 2)))
+        end = np.searchsorted(ks, cfg.k_max, side="right")
+        tables.append(RootTable(t.level, ks[:end], coincident[:end]))
+        bounds = t.ks[[low - 1, mid - 1, keep - 1]]
     return LadderSolution(ladder=ladder, tables=tuple(tables))

@@ -50,13 +50,17 @@ safeguarded Halley steps from ``Derivatives`` and stops each element
 where a Taylor model certifies the root within its tolerance.  The
 solver refines its brackets with it, and the oracle its roots and
 extrema.
+
+``period`` reads the actions as the exact binary fractions they are.  When
+they share a unit ``omega``, every level of the ladder repeats exactly with
+period ``2*pi/omega``, and the solver solves only the first periods.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -75,6 +79,8 @@ __all__ = [
     "is_regular",
     "build_ladder",
     "refine_roots",
+    "Period",
+    "period",
 ]
 
 _PI = math.pi
@@ -603,3 +609,53 @@ def build_ladder(f: TrigSpectralFunction, max_order: int = 64) -> DerivativeLadd
             )
         levels.append(derivative_level(levels[-1], 1))
     return DerivativeLadder(tuple(levels))
+
+
+# 2*pi times 2**124, rounded to an integer.  Its 127 bits carry a period
+# to double-double accuracy.
+_TWO_PI_SCALED = 133628573008120843482460046645233847913
+_TWO_PI_SHIFT = 124
+# A sum with more roots than this in a period does not repeat within any
+# window the solver is asked for; ``period`` returns None for it.
+_MAX_PERIOD_ROOTS = 1 << 20
+
+
+class Period(NamedTuple):
+    """The period ``hi + lo`` of a cosine sum, a double-double, and
+    ``roots = 2*s0/omega``, its roots per period counted with multiplicity."""
+
+    hi: float
+    lo: float
+    roots: int
+
+
+def period(f: TrigSpectralFunction) -> Period | None:
+    """The exact period ``P = 2*pi/omega`` of the stored sum ``f``, or None.
+
+    Each action is a binary fraction ``n/d`` with ``d`` a power of two.
+    Over the largest denominator ``D`` the actions are the integers
+    ``n*D/d``, and their gcd ``c`` gives the largest common unit
+    ``omega = c/D``, so ``g(k + P) = g(k)`` holds exactly for the stored
+    coefficients, at every level of the ladder.  Returns None when the
+    actions have no common unit with at most ``_MAX_PERIOD_ROOTS`` roots
+    per period.  Where ``D > 1``, ``c`` divides an odd numerator, so
+    ``roots`` is a multiple of ``2*D/d0``; that bound refuses most
+    incommensurate sums before any wide integer is formed.
+    """
+    ratios = [f.s0.as_integer_ratio()] + [t.s.as_integer_ratio() for t in f.terms]
+    den = max(d for _, d in ratios)
+    n0, d0 = ratios[0]
+    if 2 * (den // d0) > _MAX_PERIOD_ROOTS:
+        return None
+    unit = 0
+    for n, d in ratios:
+        unit = math.gcd(unit, n * (den // d))
+    roots = 2 * (n0 * (den // d0) // unit)
+    if roots > _MAX_PERIOD_ROOTS:
+        return None
+    # P = 2*pi*D/c: Python rounds a quotient of integers correctly, once
+    # for hi and once for the remainder lo.
+    num, div = _TWO_PI_SCALED * den, unit << _TWO_PI_SHIFT
+    hi = num / div
+    a, b = hi.as_integer_ratio()
+    return Period(hi, (num * b - a * div) / (div * b), roots)

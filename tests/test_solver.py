@@ -18,6 +18,7 @@ from qgspectra import (
     SeparatorFailure,
     SolverConfig,
     TrigSpectralFunction,
+    build_ladder,
     descend_level,
     load_graph_spec,
     normalize,
@@ -322,7 +323,8 @@ class TestDescend:
                     return g, dg, 0.0 * d2g if newton else d2g
 
             monkeypatch.setattr(solver, "Derivatives", Counting)
-            sol = solve_ladder(worked_star, SolverConfig(k_max=200.0))
+            # Every bracket of the window, so the direct pipeline, not the tiling.
+            sol = solver._solve_direct(build_ladder(worked_star), SolverConfig(k_max=200.0))
             # The first call of each level takes every bracket.
             assert [sizes[0] for sizes in levels] == [int((~t.coincident).sum())
                                                       for t in sol.tables]
@@ -374,7 +376,9 @@ def test_every_value_decision_asks_near_zero(monkeypatch, worked_star):
         return near_zero(self, v, tol, level, x)
 
     monkeypatch.setattr(trig.Derivatives, "near_zero", recording)
-    k_max = 50.0
+    # Within two periods of both functions, where solve_ladder takes the
+    # direct pipeline; a tiled solve sweeps only its head window.
+    k_max = 6.0
     sol = solve_ladder(worked_star, SolverConfig(k_max=k_max))
     seps = regular_separators(sol.ladder.top, k_max).size + 2
     pts = len(sol.table(1)) + 2
@@ -453,11 +457,111 @@ class TestCertifiedStop:
             return roots, certified
 
         monkeypatch.setattr(solver, "refine_roots", counting)
-        sol = solve_ladder(worked_star, SolverConfig(k_max=1e5))
+        # solve_ladder tiles this window from its first periods, so the
+        # direct pipeline is what reaches k = 7.5e4.
+        cfg = SolverConfig(k_max=1e5)
+        sol = solver._solve_direct(build_ladder(worked_star), cfg)
         assert [len(t) for t in sol.tables] == [604788, 572957]
         assert [int(t.coincident.sum()) for t in sol.tables] == [0, 31830]
         brackets = sum(int((~t.coincident).sum()) for t in sol.tables)
         assert 0 < sum(fired) < brackets
+        tiled = solve_ladder(worked_star, cfg)
+        assert [len(t) for t in tiled.tables] == [604788, 572957]
+        assert [int(t.coincident.sum()) for t in tiled.tables] == [0, 31830]
+
+
+class TestTiling:
+    """A commensurate window longer than two periods is tiled from a head
+    window of about three, and agrees with the direct pipeline."""
+
+    @staticmethod
+    def assert_tiles_the_direct_solve(f, k_max):
+        cfg = SolverConfig(k_max=k_max)
+        tiled = solve_ladder(f, cfg)
+        direct = solver._solve_direct(build_ladder(f), cfg)
+        assert len(tiled.tables) == len(direct.tables)
+        for t, d in zip(tiled.tables, direct.tables):
+            assert t.level == d.level and len(t) == len(d)
+            assert np.array_equal(t.coincident, d.coincident)
+            assert np.all(np.abs(t.ks - d.ks) <= cfg.root_tol + 4.0 * np.finfo(float).eps * d.ks)
+        # Not the direct tables over again: the tail is made of images.
+        assert not np.array_equal(tiled.spectrum.ks, direct.spectrum.ks)
+        return tiled
+
+    @pytest.mark.parametrize("k_max", [200.0, 1e4])
+    @pytest.mark.parametrize("name", ["worked-star", "worked-chain"])
+    def test_worked_networks(self, name, k_max, worked_star, worked_chain):
+        f = {"worked-star": worked_star, "worked-chain": worked_chain}[name]
+        sol = self.assert_tiles_the_direct_solve(f, k_max)
+        if name == "worked-star":
+            # The double roots at every multiple of pi, images included.
+            ks = sol.spectrum.ks[sol.spectrum.coincident]
+            assert ks == pytest.approx(math.pi * np.arange(1, ks.size + 1), abs=1e-9)
+            assert ks.size == int(k_max / math.pi)
+
+    def test_coincidences_at_two_levels(self, worked_star):
+        sol = self.assert_tiles_the_direct_solve(integrated(worked_star), 200.0)
+        assert sol.ladder.order == 2
+        assert [int(t.coincident.sum()) for t in sol.tables] == [0, 63, 63]
+
+    def test_sunk_tangency_star(self, shifted_star):
+        # Each near-double root is taken for a coincidence in the head, as
+        # in the direct solve, and imaged as one.
+        sol = self.assert_tiles_the_direct_solve(shifted_star(1e-11), 200.0)
+        assert int(sol.spectrum.coincident.sum()) == 63
+
+    @pytest.mark.parametrize("k_max", [72.0, 116.0, 300.0])
+    def test_sixteen_levels(self, k_max):
+        # Three terms at action 9 with amplitudes up to 3: regular only at
+        # level 16.  Each level is cut below the one above it, so each
+        # must image its own period far enough to reach the window end.
+        f = normalize(10.0, 0.85, [(9.0, 0.16, 0.45), (9.0, 0.75, -3.0), (9.0, 1.4, 1.9),
+                                   (2.0, 1.4, -0.4), (0.0, 0.7, -0.3)])
+        sol = self.assert_tiles_the_direct_solve(f, k_max)
+        assert sol.ladder.order == 16
+
+    @pytest.mark.parametrize("name", ["worked-star", "integrated-star", "worked-chain"])
+    def test_tables_do_not_depend_on_the_window_end(self, name, worked_star, worked_chain):
+        # On either side of 2*P, direct or tiled, every level below the
+        # window end's bracket is bitwise the same as in a long window.
+        f = {"worked-star": worked_star, "integrated-star": integrated(worked_star),
+             "worked-chain": worked_chain}[name]
+        full = solve_ladder(f, SolverConfig(k_max=50.0))
+        for k_max in np.linspace(math.pi, 8.0 * math.pi, 57)[1:]:
+            sol = solve_ladder(f, SolverConfig(k_max=float(k_max)))
+            for part, whole in zip(sol.tables, full.tables):
+                assert np.array_equal(part.ks[:-1], whole.ks[:len(part) - 1])
+                assert np.array_equal(part.coincident[:-1], whole.coincident[:len(part) - 1])
+                assert abs(len(part) - int(np.sum(whole.ks <= k_max))) <= 1
+
+    def test_images_round_once(self):
+        # Rounding once from the exact sum: every image of pi/4 is within
+        # half an ulp, plus the head root's own rounding, of (4q + 1)*pi/4.
+        f = pure_cosine(2.0)
+        per = trig.period(f)
+        head = np.array([math.pi / 4.0])
+        images = solver._images(head, per, 1, 100000)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            pi = Decimal("3.141592653589793238462643383279502884197")
+            exact = [(4 * q + 1) * pi / 4 for q in range(1, 100000)]
+        err = np.array([float(Decimal(k) - e) for k, e in zip(images.tolist(), exact)])
+        assert np.all(np.abs(err) <= 0.5 * np.spacing(images) + 1e-16)
+
+    @pytest.mark.parametrize("level, terms", [(0, [(0.0, 0.0, -1.5)]), (1, [(1.0, 1.625, 2.5)])])
+    def test_a_level_too_sparse_to_cut_is_solved_directly(self, level, terms):
+        # cos(2k) + 1.5 has no real root, and level 1 of the second sum has
+        # only half its roots on the real line and none below its lower
+        # period in the head.  Neither leaves a boundary to cut the level
+        # below on, so the direct pipeline answers, bitwise.
+        f = normalize(2.0, 0.0, terms)
+        cfg = SolverConfig(k_max=50.0)
+        sol = solve_ladder(f, cfg)
+        direct = solver._solve_direct(build_ladder(f), cfg)
+        per = trig.period(f)
+        assert len(sol.table(level)) < 0.6 * per.roots * cfg.k_max / per.hi
+        for t, d in zip(sol.tables, direct.tables):
+            assert np.array_equal(t.ks, d.ks) and np.array_equal(t.coincident, d.coincident)
 
 
 class TestSeparatorChecks:

@@ -1,6 +1,11 @@
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from qgspectra import (
     build_ladder,
     derivative_level,
     is_regular,
+    load_graph_spec,
     normalize,
     random_chain,
     random_star,
@@ -27,6 +33,10 @@ from qgspectra import (
 # half-per-level shift, so structural identities can be asserted bitwise.
 dyadic_phases = st.integers(min_value=-16, max_value=31).map(lambda n: n / 8.0)
 amplitudes = st.floats(min_value=-0.9, max_value=0.9).filter(lambda a: abs(a) > 1e-6)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+TWO_PI = 2 * Fraction(Decimal("3.14159265358979323846264338327950288419716939937510"))
 
 
 def make_fn(s0=19.0, gamma0=0.0, terms=((17.0, 0.0, 0.6), (5.0, 0.5, -0.3))):
@@ -530,3 +540,78 @@ def test_leading_term_alone_is_a_cosine(s0, gamma0, k):
 def test_derivative_damps_amplitude_sum(g, a, frac):
     f = TrigSpectralFunction(10.0, 0.0, (Term(10.0 * frac, g, a),))
     assert regularity_sum(derivative_level(f, 1)) <= regularity_sum(f)
+
+
+def bench_draws(seed):
+    """The random functions the benchmark draws for ``seed``: the stars and
+    chains of networks-highk and the wide sums of wide-sums."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      ROOT / "bench" / "workloads.py")
+        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    draws = []
+    for name in ("networks-highk", "wide-sums"):
+        cases = workloads.build_workload(name, seed, ROOT).cases
+        draws += [c.f for c in cases if not c.name.startswith("worked-")]
+    return draws
+
+
+PERIODIC = ["worked-star", "worked-chain", "star.yaml", "chain.yaml", "shifted-star", "trig.yaml"]
+
+
+class TestPeriod:
+    """``period`` finds the exact period of a commensurate sum, and only there."""
+
+    @staticmethod
+    def periodic(worked_star, worked_chain, shifted_star):
+        spec = {name: load_graph_spec(str(ROOT / "specs" / f"{name}.yaml")).function
+                for name in ("star", "chain", "trig")}
+        # (function, period in turns of 2*pi, roots per period)
+        return {"worked-star": (worked_star, 1, 38), "worked-chain": (worked_chain, 1, 38),
+                "star.yaml": (spec["star"], 1, 38), "chain.yaml": (spec["chain"], 1, 38),
+                # A zero action adds no constraint on the unit.
+                "shifted-star": (shifted_star(1e-11), 1, 38),
+                # Actions 6, 3.5, 1.25 and 5: omega = 0.25.
+                "trig.yaml": (spec["trig"], 4, 48)}
+
+    @pytest.mark.parametrize("name", PERIODIC)
+    def test_commensurate_sums(self, name, worked_star, worked_chain, shifted_star):
+        f, turns, roots = self.periodic(worked_star, worked_chain, shifted_star)[name]
+        per = trig.period(f)
+        assert per.hi == 2.0 * math.pi * turns and per.roots == roots
+        # hi + lo is 2*pi*turns to double-double accuracy.
+        assert abs(Fraction(per.hi) + Fraction(per.lo) - TWO_PI * turns) <= 2.0 ** -100
+        assert abs(per.lo) <= 0.5 * np.spacing(per.hi)
+
+    @pytest.mark.parametrize("name", PERIODIC)
+    def test_values_repeat_within_rounding(self, name, worked_star, worked_chain, shifted_star):
+        # x in (3P, 1e6) and k = x - q*P in [0, P), rounded once from the
+        # exact difference.  Moving k to the exact point costs at most
+        # B_1*ulp(k)/2 <= u*B_1*k, which err_0(x) - err_0(k) = u*B_1*(x - k)
+        # covers, so each computed value within err_0 of its true value
+        # leaves the two within 2*err_0(x).
+        f = self.periodic(worked_star, worked_chain, shifted_star)[name][0]
+        per, d = trig.period(f), Derivatives(f)
+        period_exact = Fraction(per.hi) + Fraction(per.lo)
+        x = np.random.default_rng(23).uniform(3.0 * per.hi, 1e6, 500)
+        k = np.array([float(Fraction(v) - int(Fraction(v) / period_exact) * period_exact)
+                      for v in x.tolist()])
+        assert np.all((0.0 <= k) & (k < per.hi))
+        assert np.all(np.abs(d.g(x) - d.g(k)) <= 2.0 * d.err(0, x))
+
+    def test_incommensurate_sums_have_none(self, case_suite):
+        star_bonds = load_graph_spec(str(ROOT / "specs" / "star_bonds.yaml")).function
+        draws = [star_bonds, wide_fn(32)] + [f for name, f in case_suite
+                                             if not name.startswith("worked-")]
+        for seed in (1, 2, 3):
+            draws += bench_draws(seed)
+        assert len(draws) == 2 + 50 + 3 * (8 + 16)
+        assert all(trig.period(f) is None for f in draws)
+
+    def test_periods_too_long_to_tile_have_none(self):
+        # Actions 1 and 2**-19 + 1: 2**21 + 2 roots a period, past the cap.
+        assert trig.period(normalize(1.0 + 2.0 ** -19, 0.0, [(1.0, 0.0, 0.5)])) is None
+        per = trig.period(normalize(1.0 + 2.0 ** -18, 0.0, [(1.0, 0.0, 0.5)]))
+        assert per.roots == 2 ** 19 + 2 and per.hi == 2.0 * math.pi * 2 ** 18

@@ -116,8 +116,8 @@ import numpy as np
 from .trig import (
     DerivativeLadder,
     Derivatives,
-    TrigSpectralFunction,
     Period,
+    TrigSpectralFunction,
     build_ladder,
     is_regular,
     period,

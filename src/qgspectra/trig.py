@@ -615,8 +615,8 @@ def build_ladder(f: TrigSpectralFunction, max_order: int = 64) -> DerivativeLadd
 # to double-double accuracy.
 _TWO_PI_SCALED = 133628573008120843482460046645233847913
 _TWO_PI_SHIFT = 124
-# A sum with more roots than this in a period does not repeat within any
-# window the solver is asked for; ``period`` returns None for it.
+# Tiling pays only for a period short against the window: a sum with more
+# roots than this in a period is taken to have none.
 _MAX_PERIOD_ROOTS = 1 << 20
 
 

@@ -437,9 +437,14 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
 
     When ``trig.period`` finds the period ``P`` of ``f`` and the window is
     longer than ``2*P``, that pipeline runs only on a head window of about
-    ``3*P``, and each level's table is tiled from the head's (see the
-    module docstring).  Shorter windows, sums without a period and levels
-    too sparse to tile take the whole window through the pipeline.
+    ``3*P``.  Each level keeps the head's roots up to a cut on one of its
+    own boundaries and continues with the images ``r + q*P`` of one
+    period of head roots below the cut (see the module docstring).  A
+    root is then in the window when its image is at most ``k_max``, and
+    each image, rounded once, is within ``root_tol + 4*eps*k`` of a root
+    because the stored sum is exactly periodic.  Shorter windows, sums
+    without a period and levels too sparse to tile take the whole window
+    through the pipeline.
     """
     spacing = math.pi / f.s0
     # A root is placed within root_tol, so a tolerance of half the

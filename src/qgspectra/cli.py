@@ -47,9 +47,9 @@ from .trig import Derivatives, OrderCapError, build_ladder, regularity_sum
 __all__ = ["main"]
 
 _DEFAULT_COMPARE_TOL = 1e-9
-# Grid rows tabulated per evaluation call, so that memory stays flat on a
-# long grid.
-_EVAL_ROWS = 4096
+# Rows formatted per block, of an eval grid or a solve spectrum, so that
+# memory stays flat on a long window.
+_BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,12 +155,13 @@ def _cmd_solve(args) -> int:
     solution = solve_ladder(spec.function, cfg)
     spectrum = solution.spectrum
     kinds = (INTERIOR, SEPARATOR_COINCIDENCE)
-    rows = zip(spectrum.ks.tolist(), spectrum.coincident.tolist())
-    csv = "".join(
-        f"{n},{_g17(k)},{_g17(k * k)},{kinds[c]}\n" for n, (k, c) in enumerate(rows, start=1)
-    )
     with _output(args.out) as out:
-        out.write("n,k,E,kind\n" + csv)
+        out.write("n,k,E,kind\n")
+        for start in range(0, len(spectrum), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = zip(spectrum.ks[block].tolist(), spectrum.coincident[block].tolist())
+            out.write("".join(f"{n},{_g17(k)},{_g17(k * k)},{kinds[c]}\n"
+                              for n, (k, c) in enumerate(rows, start=start + 1)))
     print(
         f"order M={solution.ladder.order}; {len(solution.spectrum)} roots "
         f"in (0, {cfg.k_max:g}]",
@@ -240,8 +241,8 @@ def _cmd_eval(args) -> int:
         kmin, step = args.kmin, args.step
         count = _grid_rows(kmin, kmax, step)
         blocks = (
-            [min(kmin + i * step, kmax) for i in range(start, min(start + _EVAL_ROWS, count))]
-            for start in range(0, count, _EVAL_ROWS)
+            [min(kmin + i * step, kmax) for i in range(start, min(start + _BLOCK_ROWS, count))]
+            for start in range(0, count, _BLOCK_ROWS)
         )
     ladder = _ladder(spec, args)
     levels = [Derivatives(level) for level in ladder.levels]

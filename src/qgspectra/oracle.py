@@ -63,7 +63,39 @@ it is missed.  More generally, where ``|g|`` stays within ``err_0`` over
 a stretch, as around a triple root, the computed signs are rounding
 noise and each sign flip counts as a root.  Both hold whichever routine
 refines a cell's root, the certified one or ``_refine``: what the scan
-counts is decided by its cells alone.
+counts is decided by its cells alone.  The same holds where a grid point
+lands on a structural double root that the stored floats split.  The
+worked star's stored amplitudes sum to ``1 - 5.55e-17``, so its double
+roots at ``m*pi`` are two simple roots ``9.1e-10`` either side of it,
+and ``g(float(m*pi))`` computes to ``+-5.55e-17``.  A cell seeing the
+tangency from its ends reports one root; but where ``float(m*pi)`` is a
+grid point, as on ``(0, 6*pi]``, the cells on both sides change sign
+and give two, such as 3.141592652049879 and 3.1415926535898064.  That
+scan reports 113 roots against the solver's 107.
+
+**Periodic windows.**  A sum whose actions share a unit ``omega`` is
+exactly periodic: ``g(k + P) = g(k)`` with ``P = 2*pi/omega``
+(``trig.period``).  A window more than ``_TILE_PERIODS`` periods long is
+then tiled.  The cell pass above runs, with one ``Derivatives``, only on
+two stretches of the window's own cell grid: a head of about ``2.5*P``
+from ``lo`` and a tail of one to two periods ending at ``hi``.  Each of
+their cells is a cell of the whole-window scan, classified and refined
+on its own, so their roots are bitwise that scan's, window ends
+included.  The cut ``c`` is the right end of the first head cell above
+``lo + P`` that Taylor's bound certifies root-free, so no root lies on
+``c`` or on any image ``c + q*P``.  Period A is ``(c - P, c]`` and
+period B ``(c, c + P]``.  The tail starts a cell below ``c_t``, the
+image of ``c`` one to two periods below ``hi``.  The scan returns the
+head's roots up to ``c``, the images ``r + q*P`` of A's roots that fill
+``(c, c_t]``, each rounded once from the double-double sum
+(``trig.Period.images``), and the tail's roots above ``c_t``.  Two
+checks must pass, each pairing the roots off with the same count and
+within ``refine_tol + 4*eps*k``: B less one period matches A, and the
+tail's last full period ``(c_t, c_t + P]`` matches its images of A,
+where rounding is largest.  Where no head cell qualifies for the cut,
+or a check fails, the whole window is scanned.  The images rest on the
+exact period of the stored sum: the image of a root of A carries that
+root's certificate, and its one rounding adds at most half an ulp.
 
 No derivative ladder, no separator structure, nothing imported from the
 solver; this is the reference implementation the fast solver is audited
@@ -83,7 +115,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import Derivatives, TrigSpectralFunction, refine_roots
+from .trig import Derivatives, Period, TrigSpectralFunction, period, refine_roots
+
+# A window is tiled when it is longer than this many periods; the cost
+# behind the rule is in ``scan_roots``.
+_TILE_PERIODS = 16
+# The relative part of the tolerance on roots, the solver's rule.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 __all__ = [
     "OracleReport",
@@ -191,23 +229,61 @@ def scan_roots(
     rather than within ``refine_tol``: 2.3e-12 at k = 1500 with the
     default ``refine_tol``.  Any other lies in its interval-Newton
     enclosure, at most ``refine_tol`` wide or as tight as rounding allows.
+
+    A window of a periodic sum (``trig.period``) more than
+    ``_TILE_PERIODS`` = 16 periods long is tiled: only a head and a tail
+    stretch of the window's cell grid are scanned, bitwise as the whole
+    window would scan them, and the middle is imaged from one period of
+    the head.  Where its two checks or its cut fail, the whole window is
+    scanned (see the module docstring).  The rule comes from the cost.
+    The tiled scan runs the cell pass on at most ``4.5*P`` of grid and
+    three cells, but pays a second stretch, the images and the checks:
+    on the worked star and chain (2-core x86-64) it breaks even with the
+    whole-window scan at about 10 periods, 1.35 ms against 1.40 and
+    0.73 ms against 0.73, and at 16 takes 0.81x and 0.73x of its time.
+    Above 16 periods it scans under 30% of the grid, and the
+    repository's specs, at most 8 periods at their own windows, stay on
+    the whole-window scan.
     """
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"bad window ({lo}, {hi})")
     step = math.pi / (4.0 * f.s0)
     d = Derivatives(f)
-    b = d.B
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)
+    per = period(f)
+    if per is not None and hi - lo > _TILE_PERIODS * per.hi:
+        roots = _tiled(d, xs, per, refine_tol, coincidence_tol)
+        if roots is not None:
+            return roots.tolist(), step
     v = np.stack(d(xs))
-    xl, xr, vl, vr = xs[:-1], xs[1:], v[:, :-1], v[:, 1:]
+    return _scan(d, xs[:-1], xs[1:], v[:, :-1], v[:, 1:], lo, hi, refine_tol,
+                 coincidence_tol).tolist(), step
+
+
+def _free(vl: np.ndarray, vr: np.ndarray, w: np.ndarray, curv: np.ndarray,
+          e0: np.ndarray) -> np.ndarray:
+    """Where Taylor's bound keeps ``g`` from zero across cells of width ``w``,
+    given ``curv = B2 w**2/2`` and the rounding bound ``e0`` of ``g``."""
+    return ((np.abs(vl[0]) > np.abs(vl[1]) * w + curv + e0)
+            | (np.abs(vr[0]) > np.abs(vr[1]) * w + curv + e0))
+
+
+def _scan(d: Derivatives, xl: np.ndarray, xr: np.ndarray, vl: np.ndarray, vr: np.ndarray,
+          lo: float, hi: float, refine_tol: float, coincidence_tol: float) -> np.ndarray:
+    """The roots of ``g = d.f`` in the cells ``[xl, xr]`` of the window ``(lo, hi]``.
+
+    ``vl`` and ``vr`` hold ``g``, ``g'`` and ``g''`` at the cell ends.
+    Each cell is classified, split and refined on its own, so a cell's
+    roots do not depend on which other cells are scanned with it.
+    """
+    b = d.B
     settled, zeros = [], []
     while xl.size:
         w = xr - xl
         e0 = d.err(0, xr)
         curv = 0.5 * b[2] * w * w
-        free = ((np.abs(vl[0]) > np.abs(vl[1]) * w + curv + e0)
-                | (np.abs(vr[0]) > np.abs(vr[1]) * w + curv + e0))
+        free = _free(vl, vr, w, curv, e0)
         mono = np.maximum(np.abs(vl[1]), np.abs(vr[1])) > b[2] * w + d.err(1, xr)
         ext = np.maximum(np.abs(vl[2]), np.abs(vr[2])) > b[3] * w + d.err(2, xr)
         done = ~free & (mono | ext | (curv <= e0))
@@ -243,7 +319,55 @@ def scan_roots(
         hi, refine_tol,
     )
     roots = np.sort(np.concatenate((x_star[tangent], refined, *zeros)))
-    return _merge_close(roots[roots > lo + refine_tol], refine_tol).tolist(), step
+    return _merge_close(roots[roots > lo + refine_tol], refine_tol)
+
+
+def _tiled(d: Derivatives, xs: np.ndarray, per: Period, refine_tol: float,
+           coincidence_tol: float) -> np.ndarray | None:
+    """The roots of the periodic ``g = d.f`` on the grid ``xs``, scanning a
+    head and a tail stretch of it and imaging the rest; None where a check
+    fails.
+
+    The cut ``c`` is the right end of the first root-free head cell in
+    ``(lo + P + 2 cells, lo + 1.5 P]``, so that no root of ``g`` lies on
+    ``c`` or on any image ``c + q P``.  Period A is ``(c - P, c]`` and
+    period B ``(c, c + P]``; the tail runs from a cell below the last
+    image ``c_t`` of ``c`` at or below ``hi - P`` to ``hi``.
+    """
+    lo, hi = float(xs[0]), float(xs[-1])
+    head = xs[:np.searchsorted(xs, lo + 2.5 * per.hi) + 1]
+    vh = np.stack(d(head))
+    w = head[1:] - head[:-1]
+    free = _free(vh[:, :-1], vh[:, 1:], w, 0.5 * d.B[2] * w * w, d.err(0, head[1:]))
+    ends = head[1:][free]
+    ends = ends[(ends > lo + per.hi + 2.0 * w[0]) & (ends <= lo + 1.5 * per.hi)]
+    if not ends.size:
+        return None
+    c = ends[:1]
+    periods = int((hi - c[0]) // per.hi)
+    cuts = per.images(c, 1, periods + 1)
+    tail = xs[np.searchsorted(xs, cuts[-2]) - 2:]
+    vt = np.stack(d(tail))
+    roots = _scan(d, np.concatenate((head[:-1], tail[:-1])), np.concatenate((head[1:], tail[1:])),
+                  np.concatenate((vh[:, :-1], vt[:, :-1]), axis=1),
+                  np.concatenate((vh[:, 1:], vt[:, 1:]), axis=1),
+                  lo, hi, refine_tol, coincidence_tol)
+    bounds = np.searchsorted(roots, [c[0] - per.hi, c[0], cuts[0], cuts[-2], cuts[-1]],
+                             side="right")
+    a = roots[bounds[0]:bounds[1]]
+    images = per.images(a, 1, periods + 1).reshape(periods, a.size)
+    # B less one period matches A, and so does the tail's last full period
+    # less its count of periods, where the rounding is largest.
+    if not (_matches(images[0], roots[bounds[1]:bounds[2]], refine_tol)
+            and _matches(images[-1], roots[bounds[3]:bounds[4]], refine_tol)):
+        return None
+    return np.concatenate((roots[:bounds[1]], images[:-1].ravel(), roots[bounds[3]:]))
+
+
+def _matches(images: np.ndarray, roots: np.ndarray, tol: float) -> bool:
+    """Whether ``images`` and ``roots`` pair off within ``tol + 4*eps*k``."""
+    return images.size == roots.size and bool(
+        np.all(np.abs(images - roots) <= tol + _ROOT_RTOL * roots))
 
 
 def _merge_close(roots: np.ndarray, tol: float) -> np.ndarray:

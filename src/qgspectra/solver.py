@@ -116,7 +116,6 @@ import numpy as np
 from .trig import (
     DerivativeLadder,
     Derivatives,
-    Period,
     TrigSpectralFunction,
     build_ladder,
     is_regular,
@@ -403,30 +402,6 @@ def _solve_direct(ladder: DerivativeLadder, cfg: SolverConfig) -> LadderSolution
     return LadderSolution(ladder=ladder, tables=tuple(tables))
 
 
-def _images(ks: np.ndarray, per: Period, start: int, stop: int) -> np.ndarray:
-    """``ks + q*P`` for q = start..stop-1, q-major, each rounded once.
-
-    ``P = per.hi + per.lo`` is split into ``hi``, short enough that
-    ``q*hi`` is exact, and the rest.  TwoSum gives ``ks + q*hi`` as an
-    exact pair, and the rest times q joins its error before the one
-    rounding of the result.
-    """
-    bits = 53 - stop.bit_length()
-    mantissa, exponent = math.frexp(per.hi)
-    hi = math.ldexp(math.floor(math.ldexp(mantissa, bits)), exponent - bits)
-    q = np.arange(float(start), float(stop))[:, None]
-    shift = q * hi
-    s = shift + ks
-    v = s - shift
-    err = ks - v
-    v -= s
-    v += shift
-    err += v
-    err += q * ((per.hi - hi) + per.lo)
-    s += err
-    return s.ravel()
-
-
 def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     """Complete spectrum of ``f`` over (0, k_max].
 
@@ -478,7 +453,7 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
             return _solve_direct(ladder, cfg)
         # The lower period is imaged, where the roots carry the least rounding.
         stop = int((cfg.k_max - bounds[0]) // per.hi) + 2
-        ks = np.concatenate((t.ks[:keep], _images(t.ks[low:mid], per, 2, stop)))
+        ks = np.concatenate((t.ks[:keep], per.images(t.ks[low:mid], 2, stop)))
         coincident = np.concatenate((t.coincident[:keep], np.tile(t.coincident[low:mid], stop - 2)))
         end = np.searchsorted(ks, cfg.k_max, side="right")
         tables.append(RootTable(t.level, ks[:end], coincident[:end]))

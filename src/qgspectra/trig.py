@@ -628,6 +628,29 @@ class Period(NamedTuple):
     lo: float
     roots: int
 
+    def images(self, ks: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """``ks + q*P`` for q = start..stop-1, q-major, each rounded once.
+
+        ``P = hi + lo`` is split into ``hi'``, short enough that ``q*hi'``
+        is exact, and the rest.  TwoSum gives ``ks + q*hi'`` as an exact
+        pair, and the rest times q joins its error before the one rounding
+        of the result.
+        """
+        bits = 53 - stop.bit_length()
+        mantissa, exponent = math.frexp(self.hi)
+        hi = math.ldexp(math.floor(math.ldexp(mantissa, bits)), exponent - bits)
+        q = np.arange(float(start), float(stop))[:, None]
+        shift = q * hi
+        s = shift + ks
+        v = s - shift
+        err = ks - v
+        v -= s
+        v += shift
+        err += v
+        err += q * ((self.hi - hi) + self.lo)
+        s += err
+        return s.ravel()
+
 
 def period(f: TrigSpectralFunction) -> Period | None:
     """The exact period ``P = 2*pi/omega`` of the stored sum ``f``, or None.

@@ -92,6 +92,24 @@ class TestSolve:
             kinds.update(e.kind for e in table)
         assert kinds == {"interior", "separator-coincidence"}
 
+    def test_csv_written_in_blocks_reads_as_one_string(self, capsys, tmp_path):
+        # About 5,700 rows, more than one block: the blocks join into the
+        # CSV formatted in one string, on stdout and in a file alike.
+        spec = load_graph_spec(str(SPECS_DIR / "star.yaml"))
+        table = solve_ladder(spec.function, SolverConfig(k_max=1000.0)).spectrum
+        assert len(table) > cli._BLOCK_ROWS
+        kinds = ("interior", "separator-coincidence")
+        rows = zip(table.ks.tolist(), table.coincident.tolist())
+        expected = "n,k,E,kind\n" + "".join(
+            f"{n},{k:.17g},{k * k:.17g},{kinds[c]}\n" for n, (k, c) in enumerate(rows, start=1)
+        )
+        argv = ["solve", "--graph", str(SPECS_DIR / "star.yaml"), "--kmax", "1000"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and out == expected
+        dest = tmp_path / "roots.csv"
+        assert main(argv + ["--out", str(dest)]) == 0
+        assert dest.read_bytes() == expected.encode()
+
     def test_reruns_byte_identical(self, capsys, star_file):
         _, first, _ = run(capsys, ["solve", "--graph", star_file, "--kmax", "6"])
         _, second, _ = run(capsys, ["solve", "--graph", star_file, "--kmax", "6"])
@@ -243,7 +261,7 @@ class TestEval:
                 sizes.append(len(ks))
                 return super().g(ks, level)
 
-        monkeypatch.setattr(cli, "_EVAL_ROWS", 6)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 6)
         monkeypatch.setattr(cli, "Derivatives", Recording)
         rc, blocked, _ = run(capsys, argv)
         assert rc == 0 and blocked == whole

@@ -391,7 +391,7 @@ def test_every_value_decision_asks_near_zero(monkeypatch, worked_star):
     assert calls == [("_sweep", seps, 0, False), ("_check_count", 2, 0, False)]
     calls.clear()
     scan_roots(worked_star, (0.0, k_max))
-    assert [(name, level, x) for name, _, level, x in calls] == [("scan_roots", 0, True)]
+    assert [(name, level, x) for name, _, level, x in calls] == [("_scan", 0, True)]
     assert calls[0][1] > 0
 
 
@@ -540,7 +540,7 @@ class TestTiling:
         f = pure_cosine(2.0)
         per = trig.period(f)
         head = np.array([math.pi / 4.0])
-        images = solver._images(head, per, 1, 100000)
+        images = per.images(head, 1, 100000)
         with localcontext() as ctx:
             ctx.prec = 40
             pi = Decimal("3.141592653589793238462643383279502884197")

@@ -70,8 +70,8 @@ roots at ``m*pi`` are two simple roots ``9.1e-10`` either side of it,
 and ``g(float(m*pi))`` computes to ``+-5.55e-17``.  A cell seeing the
 tangency from its ends reports one root; but where ``float(m*pi)`` is a
 grid point, as on ``(0, 6*pi]``, the cells on both sides change sign
-and give two, such as 3.141592652049879 and 3.1415926535898064.  That
-scan reports 113 roots against the solver's 107.
+and give two, such as 3.141592652049879 and 3.1415926535898064.  On
+``(0, 6*pi]`` the scan reports 113 roots and the solver 107.
 
 **Periodic windows.**  A sum whose actions share a unit ``omega`` is
 exactly periodic: ``g(k + P) = g(k)`` with ``P = 2*pi/omega``
@@ -84,11 +84,11 @@ on its own, so their roots are bitwise that scan's, window ends
 included.  The cut ``c`` is the right end of the first head cell above
 ``lo + P`` that Taylor's bound certifies root-free, so no root lies on
 ``c`` or on any image ``c + q*P``.  Period A is ``(c - P, c]`` and
-period B ``(c, c + P]``.  The tail starts a cell below ``c_t``, the
-image of ``c`` one to two periods below ``hi``.  The scan returns the
-head's roots up to ``c``, the images ``r + q*P`` of A's roots that fill
-``(c, c_t]``, each rounded once from the double-double sum
-(``trig.Period.images``), and the tail's roots above ``c_t``.  Two
+period B ``(c, c + P]``.  The tail starts at least a cell below
+``c_t``, the image of ``c`` one to two periods below ``hi``.  The scan
+returns the head's roots up to ``c``, the images ``r + q*P`` of A's
+roots that fill ``(c, c_t]``, each rounded once from the double-double
+sum (``trig.Period.images``), and the tail's roots above ``c_t``.  Two
 checks must pass, each pairing the roots off with the same count and
 within ``refine_tol + 4*eps*k``: B less one period matches A, and the
 tail's last full period ``(c_t, c_t + P]`` matches its images of A,
@@ -100,7 +100,8 @@ root's certificate, and its one rounding adds at most half an ulp.
 No derivative ladder, no separator structure, nothing imported from the
 solver; this is the reference implementation the fast solver is audited
 against.  It shares with the solver only ``trig``: the evaluator, its
-bounds and the certified refinement, none of which decides a count.
+bounds, the certified refinement and the period with its images, none
+of which decides a count.
 
 The Weyl audit checks the root count against the leading-order expectation
 ``s0 * k / pi``; for a regular function the deviation is bounded by the
@@ -120,8 +121,6 @@ from .trig import Derivatives, Period, TrigSpectralFunction, period, refine_root
 # A window is tiled when it is longer than this many periods; the cost
 # behind the rule is in ``scan_roots``.
 _TILE_PERIODS = 16
-# The relative part of the tolerance on roots, the solver's rule.
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 __all__ = [
     "OracleReport",
@@ -325,8 +324,8 @@ def _scan(d: Derivatives, xl: np.ndarray, xr: np.ndarray, vl: np.ndarray, vr: np
 def _tiled(d: Derivatives, xs: np.ndarray, per: Period, refine_tol: float,
            coincidence_tol: float) -> np.ndarray | None:
     """The roots of the periodic ``g = d.f`` on the grid ``xs``, scanning a
-    head and a tail stretch of it and imaging the rest; None where a check
-    fails.
+    head and a tail stretch of it and imaging the rest; None where no head
+    cell qualifies for the cut or a check fails.
 
     The cut ``c`` is the right end of the first root-free head cell in
     ``(lo + P + 2 cells, lo + 1.5 P]``, so that no root of ``g`` lies on
@@ -367,7 +366,7 @@ def _tiled(d: Derivatives, xs: np.ndarray, per: Period, refine_tol: float,
 def _matches(images: np.ndarray, roots: np.ndarray, tol: float) -> bool:
     """Whether ``images`` and ``roots`` pair off within ``tol + 4*eps*k``."""
     return images.size == roots.size and bool(
-        np.all(np.abs(images - roots) <= tol + _ROOT_RTOL * roots))
+        np.all(np.abs(images - roots) <= tol + 4.0 * np.finfo(float).eps * roots))
 
 
 def _merge_close(roots: np.ndarray, tol: float) -> np.ndarray:

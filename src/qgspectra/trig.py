@@ -53,7 +53,8 @@ extrema.
 
 ``period`` reads the actions as the exact binary fractions they are.  When
 they share a unit ``omega``, every level of the ladder repeats exactly with
-period ``2*pi/omega``, and the solver solves only the first periods.
+period ``2*pi/omega``: the solver solves, and the oracle scans, only a few
+periods, and ``Period.images`` carries their roots to the rest.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -55,3 +58,15 @@ def case_suite(worked_star, worked_chain):
     cases += [(f"star-{i}", random_star(rng)) for i in range(25)]
     cases += [(f"chain-{i}", random_chain(rng)) for i in range(25)]
     return cases
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """``bench/workloads.py``, which builds the benchmark's seeded cases."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  root / "bench" / "workloads.py")
+    # Its dataclasses look their module up in sys.modules.
+    workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads

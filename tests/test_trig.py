@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import random
-import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -542,15 +540,9 @@ def test_derivative_damps_amplitude_sum(g, a, frac):
     assert regularity_sum(derivative_level(f, 1)) <= regularity_sum(f)
 
 
-def bench_draws(seed):
+def bench_draws(workloads, seed):
     """The random functions the benchmark draws for ``seed``: the stars and
     chains of networks-highk and the wide sums of wide-sums."""
-    workloads = sys.modules.get("bench_workloads")
-    if workloads is None:
-        spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                      ROOT / "bench" / "workloads.py")
-        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
     draws = []
     for name in ("networks-highk", "wide-sums"):
         cases = workloads.build_workload(name, seed, ROOT).cases
@@ -601,12 +593,12 @@ class TestPeriod:
         assert np.all((0.0 <= k) & (k < per.hi))
         assert np.all(np.abs(d.g(x) - d.g(k)) <= 2.0 * d.err(0, x))
 
-    def test_incommensurate_sums_have_none(self, case_suite):
+    def test_incommensurate_sums_have_none(self, case_suite, bench_workloads):
         star_bonds = load_graph_spec(str(ROOT / "specs" / "star_bonds.yaml")).function
         draws = [star_bonds, wide_fn(32)] + [f for name, f in case_suite
                                              if not name.startswith("worked-")]
         for seed in (1, 2, 3):
-            draws += bench_draws(seed)
+            draws += bench_draws(bench_workloads, seed)
         assert len(draws) == 2 + 50 + 3 * (8 + 16)
         assert all(trig.period(f) is None for f in draws)
 

@@ -7,7 +7,7 @@
 For each case of a benchmark workload (its cases, then its spec cases) the
 line gives the ladder order, then, level by level from M down to 0, the
 root count and the digest of the table's ``ks`` and ``coincident`` bytes,
-then the count and digest of the ``scan_roots`` list.  Both run as the
+then the count and digest of the ``scan_roots`` roots.  Both run as the
 benchmark's verify step runs them.  ``--acceptance`` covers the 52
 acceptance-suite networks at ``k_max = 950/s0`` instead, scanned with the
 default tolerances.  Two checkouts give the same spectra when the outputs
@@ -51,7 +51,7 @@ def digest(name: str, f, cfg: SolverConfig, **scan_kw) -> str:
         return f"{name} error {type(exc).__name__}: {exc}"
     tables = " ".join(f"L{t.level}:{len(t)}:{sha(t.ks, t.coincident)}" for t in sol.tables)
     return (f"{name} M={sol.ladder.order} {tables} "
-            f"scan:{len(scan)}:{sha(np.asarray(scan, dtype=float))}")
+            f"scan:{len(scan)}:{sha(scan)}")
 
 
 def acceptance_cases():

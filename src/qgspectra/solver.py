@@ -169,13 +169,14 @@ class SolverConfig:
 
     ``coincidence_tol`` is rescaled internally by ``1 + sum|a_j|`` of the
     ladder level being tested (its ``Derivatives.sigma``), so it is a
-    relative threshold; ``Derivatives.near_zero`` applies it.
+    relative threshold; ``Derivatives.near_zero`` applies it.  The
+    ladder's depth is no setting: it is the function's regularization
+    order, capped at ``trig.MAX_ORDER``.
     """
 
     k_max: float
     root_tol: float = 1e-12
     coincidence_tol: float = 1e-10
-    max_order: int = 64
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k_max) and self.k_max > 0.0):
@@ -186,8 +187,6 @@ class SolverConfig:
             raise ValueError(
                 f"coincidence_tol must be positive and finite, got {self.coincidence_tol}"
             )
-        if self.max_order < 0:
-            raise ValueError(f"max_order must be nonnegative, got {self.max_order}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,7 +428,7 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
             f"2*root_tol = {2.0 * cfg.root_tol} must be smaller than the "
             f"separator spacing pi/s0 = {spacing}"
         )
-    ladder = build_ladder(f, cfg.max_order)
+    ladder = build_ladder(f)
     per = period(f)
     if per is None or not cfg.k_max > 2.0 * per.hi:
         return _solve_direct(ladder, cfg)

@@ -19,7 +19,7 @@ A description file is a single YAML mapping with a ``kind`` discriminator:
     are in units of pi.
 
 Any kind may carry an optional ``solver`` map overriding ``k_max``,
-``root_tol``, ``coincidence_tol``, ``max_order``.
+``root_tol`` and ``coincidence_tol``, each a positive finite number.
 
 A kind is one ``_KINDS`` entry: its loader and the top-level keys it
 reads.  ``load_graph_spec`` checks those keys, the loader builds the
@@ -51,7 +51,7 @@ __all__ = [
     "trig_spec_data",
 ]
 
-_SOLVER_KEYS = ("k_max", "root_tol", "coincidence_tol", "max_order")
+_SOLVER_KEYS = ("k_max", "root_tol", "coincidence_tol")
 _LEADING_KEYS = ("S0", "gamma0")
 _TERM_KEYS = ("S", "gamma", "a")
 
@@ -78,7 +78,7 @@ class LoadedSpec:
     kind: str
     function: TrigSpectralFunction
     graph: StarGraphSpec | ChainGraphSpec | None
-    solver_overrides: dict[str, Any] = field(default_factory=dict)
+    solver_overrides: dict[str, float] = field(default_factory=dict)
     path: str = "<memory>"
 
 
@@ -198,25 +198,18 @@ def _mapping(doc: _Doc, value: Any, allowed: tuple | None, required: tuple, *pat
     return value
 
 
-def _solver_overrides(doc: _Doc, data: dict) -> dict[str, Any]:
+def _solver_overrides(doc: _Doc, data: dict) -> dict[str, float]:
     if "solver" not in data:
         return {}
     block = _mapping(doc, data["solver"], _SOLVER_KEYS, (), "solver")
-    out: dict[str, Any] = {}
+    out: dict[str, float] = {}
     # Fixed key order, not file order: it decides which error is reported.
     for key in _SOLVER_KEYS:
         if key not in block:
             continue
-        v = block[key]
-        if key == "max_order":
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise doc.fail(
-                    f"max_order must be a nonnegative integer, got {v!r}", "solver", key
-                )
-        else:
-            v = _num(doc, v, "solver", key)
-            if not (math.isfinite(v) and v > 0.0):
-                raise doc.fail(f"{key} must be positive and finite, got {v}", "solver", key)
+        v = _num(doc, block[key], "solver", key)
+        if not (math.isfinite(v) and v > 0.0):
+            raise doc.fail(f"{key} must be positive and finite, got {v}", "solver", key)
         out[key] = v
     return out
 

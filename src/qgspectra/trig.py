@@ -78,6 +78,7 @@ __all__ = [
     "regularity_sum",
     "REGULARITY_MARGIN",
     "is_regular",
+    "MAX_ORDER",
     "build_ladder",
     "refine_roots",
     "Period",
@@ -592,21 +593,25 @@ def is_regular(f: TrigSpectralFunction) -> bool:
     return _regular(regularity_sum(f))
 
 
-def build_ladder(f: TrigSpectralFunction, max_order: int = 64) -> DerivativeLadder:
+# The deepest ladder ``build_ladder`` builds.  A sum needs at most
+# ``log(sum|a|)/log(s0/max S_j)`` levels, under 20 for the widest benchmark
+# sums, so the cap only stops a ladder that would not end.
+MAX_ORDER = 64
+
+
+def build_ladder(f: TrigSpectralFunction) -> DerivativeLadder:
     """Differentiate until the regularity condition holds.
 
     Returns the ladder of levels ``0..M`` where ``M`` is the smallest level
     judged regular by :func:`is_regular` (a sum of exactly one still forces
     another step).  Raises :class:`OrderCapError` when no level at or below
-    ``max_order`` is regular.
+    ``MAX_ORDER`` is regular.
     """
-    if max_order < 0:
-        raise ValueError(f"max_order must be nonnegative, got {max_order}")
     levels = [f]
     while not is_regular(levels[-1]):
-        if len(levels) > max_order:
+        if len(levels) > MAX_ORDER:
             raise OrderCapError(
-                f"order cap exceeded: no regular level at or below m={max_order}"
+                f"order cap exceeded: no regular level at or below m={MAX_ORDER}"
             )
         levels.append(derivative_level(levels[-1], 1))
     return DerivativeLadder(tuple(levels))

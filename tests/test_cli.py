@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import qgspectra
-from qgspectra import Derivatives, SolverConfig, build_ladder, load_graph_spec, solve_ladder
+from qgspectra import (Derivatives, SolverConfig, WeylAudit, build_ladder, load_graph_spec,
+                       solve_ladder)
 from qgspectra import cli, solver, trig
 from qgspectra.cli import main
 
@@ -23,10 +24,10 @@ alpha: [1.0, 7.0, 11.0]
 beta: [0.1, 0.2, 0.5]
 """
 
-# A cosine sum that no regular level can certify against the counting law:
-# it is not the secular function of any self-adjoint network, so the root
-# count in a long window falls short of S0*K/pi by more than the term
-# budget.  The solver and the scan still agree with each other.
+# A cosine sum whose root count breaks the counting law's bound: it is not
+# the secular function of any self-adjoint network, so the count in a long
+# window falls short of S0*K/pi by more than the term budget.  The solver
+# and the scan still agree with each other.
 UNPHYSICAL_YAML = """\
 kind: trig
 leading:
@@ -179,13 +180,28 @@ class TestVerify:
         assert out == ""
         assert f"--tol must be positive and finite, got {float(tol)}" in err
 
-    def test_counting_law_failure(self, capsys, tmp_path):
-        p = tmp_path / "unphysical.yaml"
-        p.write_text(UNPHYSICAL_YAML, encoding="utf-8")
-        rc, out, _ = run(capsys, ["verify", "--graph", str(p)])
+    def test_counting_law_failure(self, capsys, star_file, monkeypatch):
+        # A network's level-0 count is audited: a count off by more than
+        # the bound T + 1 = 4 fails verify although solver and scan agree.
+        monkeypatch.setattr(cli, "weyl_audit", lambda roots, s0, window: WeylAudit(
+            expected=s0 * window[1] / math.pi, actual=len(roots) - 5, deviation=5.0))
+        rc, out, _ = run(capsys, ["verify", "--graph", star_file, "--kmax", "20"])
         assert rc == 3
-        assert "comparison: pass" in out  # scan and solver still agree
+        assert "comparison: pass" in out
+        assert "bound 4" in out
         assert "verdict: fail" in out
+
+    def test_raw_sums_are_not_audited(self, capsys, tmp_path):
+        # The bound T + 1 on level 0 is no theorem for a raw sum: both fall
+        # short of S0*K/pi by more than it, the wide sum by 106 of 318.
+        unphysical = tmp_path / "unphysical.yaml"
+        unphysical.write_text(UNPHYSICAL_YAML, encoding="utf-8")
+        for path in (unphysical, DATA_DIR / "wide_sum.yaml"):
+            rc, out, _ = run(capsys, ["verify", "--graph", str(path)])
+            assert rc == 0
+            assert "comparison: pass" in out
+            assert "weyl: not audited for a raw sum" in out
+            assert "verdict: pass" in out
 
     def test_sunk_tangency_is_a_count_mismatch(self, capsys):
         # Two simple roots 7.7e-7 apart at pi, which the solver reports as
@@ -351,14 +367,18 @@ class TestFailureModes:
         assert out == ""
         assert "2*root_tol = 0.6 must be smaller than the separator spacing" in err
 
-    def test_order_cap_is_solver_failure(self, capsys, star_file):
-        rc, _, err = run(
-            capsys,
-            ["solve", "--graph", star_file, "--kmax", "4", "--max-order", "0"],
-        )
-        assert rc == 2
-        assert "solver failure" in err
-        assert "order cap" in err
+    def test_order_cap_is_solver_failure(self, capsys):
+        rc, out, err = run(capsys, ["solve", "--graph", str(DATA_DIR / "deep_ladder.yaml")])
+        assert (rc, out) == (2, "")
+        assert "solver failure: order cap exceeded: no regular level at or below m=64" in err
+
+    def test_order_cap_is_not_a_solver_setting(self, capsys, tmp_path):
+        p = tmp_path / "star.yaml"
+        p.write_text(STAR_YAML + "solver:\n  max_order: 8\n", encoding="utf-8")
+        rc, out, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "4"])
+        assert (rc, out) == (1, "")
+        assert (f"{p}:5: unknown key 'max_order' "
+                "(allowed: k_max, root_tol, coincidence_tol)") in err
 
     def test_separator_failure_prints_the_end_values(self, capsys, star_file, monkeypatch):
         # Without separators the regular level yields at most one root, and
@@ -392,6 +412,7 @@ class TestFailureModes:
         ["order", "--tol", "5"],
         ["order", "--coincidence-tol", "7"],
         ["eval", "--k", "1", "--tol", "5"],
+        ["solve", "--kmax", "4", "--max-order", "8"],
     ])
     def test_flags_a_command_does_not_read_are_refused(self, capsys, star_file, argv):
         rc, out, err = run(capsys, argv[:1] + ["--graph", star_file] + argv[1:])

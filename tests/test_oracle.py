@@ -213,7 +213,9 @@ class TestScanRoots:
         # At large k most roots stop on the rounding floor of g.
         cases += [(worked_star, (1490.0, 1500.0), {})]
         for f, window, kw in cases:
-            assert scan_roots(f, window, **kw) == reference_scan(f, window, **kw)
+            roots, step = scan_roots(f, window, **kw)
+            reference, reference_step = reference_scan(f, window, **kw)
+            assert np.array_equal(roots, reference) and step == reference_step
 
     @given(st.lists(st.integers(min_value=0, max_value=12), max_size=40))
     def test_merge_measures_from_the_last_kept_root(self, steps):
@@ -300,7 +302,7 @@ def tiled_and_direct(f, window, **kw):
         roots, _ = scan_roots(f, window, **kw)
     with mock.patch.object(qgspectra.oracle, "period", return_value=None):
         direct, _ = scan_roots(f, window, **kw)
-    return (taken or ["direct"])[0], np.array(roots), np.array(direct)
+    return (taken or ["direct"])[0], roots, direct
 
 
 def assert_tiles_the_direct_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
@@ -401,7 +403,7 @@ class TestTiledScan:
         f = normalize(float(s0), gamma0, terms + [(0.0, 0.0, -lift)])
         how = assert_tiles_the_direct_scan(f, periodic_window(f, start, periods))
         if lift:
-            assert not scan_roots(f, periodic_window(f, start, periods))[0]
+            assert scan_roots(f, periodic_window(f, start, periods))[0].size == 0
         hypothesis.event(how)
 
     @pytest.mark.parametrize("name", ["worked-star", "worked-chain"])

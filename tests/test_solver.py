@@ -64,7 +64,8 @@ class TestConfig:
         cfg = SolverConfig(k_max=10.0)
         assert cfg.root_tol == 1e-12
         assert cfg.coincidence_tol == 1e-10
-        assert cfg.max_order == 64
+        # The ladder's depth is no setting: build_ladder caps it.
+        assert not hasattr(cfg, "max_order")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,8 +76,8 @@ class TestConfig:
             SolverConfig(k_max=10.0, root_tol=11.0)
         with pytest.raises(ValueError):
             SolverConfig(k_max=10.0, coincidence_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k_max=10.0, max_order=-1)
+        with pytest.raises(TypeError):
+            SolverConfig(k_max=10.0, max_order=8)
 
     @pytest.mark.parametrize("key", ["k_max", "coincidence_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

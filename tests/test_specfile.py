@@ -298,7 +298,7 @@ class TestSchemaErrors:
             alpha: [1.0, 7.0, 11.0]
             beta: [0.1, 0.2, 0.5]
             solver:
-              max_order: 8
+              {"root_tol: 0.001" if key == "k_max" else "k_max: 30"}
               {key}: {value}
             """,
         )
@@ -329,11 +329,14 @@ class TestSchemaErrors:
             alpha: [1.0, 7.0, 11.0]
             beta: [0.1, 0.2, 0.5]
             solver:
-              max_order: 3.5
+              max_order: 8
             """,
         )
-        with pytest.raises(SpecFileError, match="max_order"):
+        # The ladder's depth is no setting, so the key is unknown.
+        with pytest.raises(SpecFileError) as e:
             load_graph_spec(path)
+        assert (e.value.line, e.value.message) == (
+            5, "unknown key 'max_order' (allowed: k_max, root_tol, coincidence_tol)")
 
     def test_message_carries_path_and_line(self, tmp_path):
         path = write(tmp_path, "kind: pentagram\n")
@@ -426,12 +429,13 @@ class TestLoaderErrors:
                      "expected a number, got 'x'", id="term-gamma-inf-and-a-text"),
         pytest.param(_STAR + "solver: 50\n", 4, "solver must be a mapping", id="solver-scalar"),
         pytest.param(_STAR + "solver:\n  k_max: 50.0\n  tolerance: 1e-9\n", 6,
-                     "unknown key 'tolerance' (allowed: k_max, root_tol, coincidence_tol, max_order)",
+                     "unknown key 'tolerance' (allowed: k_max, root_tol, coincidence_tol)",
                      id="solver-unknown-key"),
-        pytest.param(_STAR + "solver:\n  max_order: -1\n  root_tol: 0.0\n  k_max: -5.0\n", 7,
+        pytest.param(_STAR + "solver:\n  coincidence_tol: -1\n  root_tol: 0.0\n  k_max: -5.0\n", 7,
                      "k_max must be positive and finite, got -5.0", id="solver-bad-values-in-key-order"),
         pytest.param(_STAR + "solver:\n  max_order: true\n", 5,
-                     "max_order must be a nonnegative integer, got True", id="max-order-bool"),
+                     "unknown key 'max_order' (allowed: k_max, root_tol, coincidence_tol)",
+                     id="max-order-bool"),
         pytest.param("kind: star\n1: [1.0, 7.0, 11.0]\n", 2,
                      "mapping keys must be strings, got 1", id="non-string-key"),
     ])
@@ -460,9 +464,9 @@ class TestLoaderErrors:
     def test_solver_overrides_keep_the_fixed_key_order(self, tmp_path):
         path = write(
             tmp_path,
-            _STAR + 'solver:\n  max_order: 8\n  coincidence_tol: 1e-9\n  root_tol: "1e-13"\n  k_max: 30\n',
+            _STAR + 'solver:\n  coincidence_tol: 1e-9\n  root_tol: "1e-13"\n  k_max: 30\n',
         )
         overrides = load_graph_spec(path).solver_overrides
         assert list(overrides.items()) == [
-            ("k_max", 30.0), ("root_tol", 1e-13), ("coincidence_tol", 1e-9), ("max_order", 8),
+            ("k_max", 30.0), ("root_tol", 1e-13), ("coincidence_tol", 1e-9),
         ]

@@ -504,12 +504,12 @@ class TestRegularity:
 
     def test_order_cap(self):
         # An action ratio this close to one decays far too slowly to
-        # regularize within any reasonable cap.
+        # regularize within the cap.
         f = normalize(1.0, 0.0, [(1.0 - 1e-12, 0.0, 2.0)])
-        with pytest.raises(OrderCapError, match="order cap"):
-            build_ladder(f, max_order=64)
-        with pytest.raises(OrderCapError):
-            build_ladder(f, max_order=0)
+        with pytest.raises(OrderCapError,
+                           match=r"order cap exceeded: no regular level at or below m=64$"):
+            build_ladder(f)
+        assert trig.MAX_ORDER == 64
 
     def test_regular_function_is_its_own_ladder(self):
         f = normalize(2.0, 0.0, [(1.0, 0.0, 0.3)])

@@ -195,9 +195,8 @@ def _cmd_verify(args) -> int:
     if report.message:
         print(f"comparison detail: {report.message}")
     ok = report.ok
-    # The bound T + 1 on level 0's count holds for a network's secular
-    # function; a raw sum need not obey it, and its regular level's count
-    # is already the solver's exact check.
+    # The bound T + 1 on level 0's count is a theorem for networks only; a
+    # raw sum's regular level count is already the solver's exact check.
     if spec.graph is None:
         print("weyl: not audited for a raw sum; the solver checked the regular "
               "level's exact count")

@@ -170,8 +170,7 @@ class SolverConfig:
     ``coincidence_tol`` is rescaled internally by ``1 + sum|a_j|`` of the
     ladder level being tested (its ``Derivatives.sigma``), so it is a
     relative threshold; ``Derivatives.near_zero`` applies it.  The
-    ladder's depth is no setting: it is the function's regularization
-    order, capped at ``trig.MAX_ORDER``.
+    ladder's depth is no setting; ``trig.MAX_ORDER`` caps it.
     """
 
     k_max: float

@@ -80,8 +80,6 @@ def _build_parser() -> _Parser:
                            help="upper end of the search window (0, kmax]")
         if tol_help:
             p.add_argument("--tol", type=float, default=None, help=tol_help)
-            p.add_argument("--coincidence-tol", type=float, default=None,
-                           help="separator-coincidence threshold (default 1e-10)")
 
     p_solve = sub.add_parser("solve", help="compute the spectrum as CSV")
     common(p_solve, tol_help="root tolerance (default 1e-12)")
@@ -127,8 +125,7 @@ def _resolve_config(spec: LoadedSpec, args, root_tol: float | None) -> SolverCon
     ``root_tol`` is passed separately because ``verify`` reads ``--tol`` as
     its comparison tolerance, not the root tolerance.
     """
-    settings = _settings(spec, k_max=args.kmax, root_tol=root_tol,
-                         coincidence_tol=args.coincidence_tol)
+    settings = _settings(spec, k_max=args.kmax, root_tol=root_tol)
     if "k_max" not in settings:
         raise ValueError("no search window: pass --kmax or set solver.k_max in the file")
     return SolverConfig(**settings)
@@ -183,7 +180,6 @@ def _cmd_verify(args) -> int:
         spec.function,
         (0.0, cfg.k_max),
         refine_tol=min(1e-12, compare_tol / 10.0),
-        coincidence_tol=cfg.coincidence_tol,
     )
     report = compare(ks, oracle_roots, tol=compare_tol, scan_step=step)
     print(f"order: M = {solution.ladder.order}")

@@ -116,7 +116,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import Derivatives, Period, TrigSpectralFunction, period, refine_roots
+from .trig import COINCIDENCE_TOL, Derivatives, Period, TrigSpectralFunction, period, refine_roots
 
 # A window is tiled when it is longer than this many periods; the cost
 # behind the rule is in ``scan_roots``.
@@ -217,13 +217,15 @@ def scan_roots(
     f: TrigSpectralFunction,
     window: tuple[float, float],
     refine_tol: float = 1e-12,
-    coincidence_tol: float = 1e-10,
+    coincidence_tol: float = COINCIDENCE_TOL,
 ) -> tuple[np.ndarray, float]:
     """All roots of ``f`` in ``(lo, hi]`` by derivative-bound cells.
 
     Tangent roots are counted once.  Returns the ascending roots as an
     array and the starting cell width, ``pi/(4*s0)``; see the module
-    docstring for the rules.
+    docstring for the rules.  Both tolerances must be positive and
+    finite; ``coincidence_tol`` defaults to the solver's threshold,
+    ``trig.COINCIDENCE_TOL``.
     A root certified by ``trig.refine_roots`` lies within
     ``refine_tol + 4*eps*|k|`` of a root of ``f``, the solver's rule,
     rather than within ``refine_tol``: 2.3e-12 at k = 1500 with the
@@ -248,6 +250,8 @@ def scan_roots(
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"bad window ({lo}, {hi})")
+    _check_tol("refine_tol", refine_tol)
+    _check_tol("coincidence_tol", coincidence_tol)
     step = math.pi / (4.0 * f.s0)
     d = Derivatives(f)
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)
@@ -259,6 +263,13 @@ def scan_roots(
     v = np.stack(d(xs))
     return _scan(d, xs[:-1], xs[1:], v[:, :-1], v[:, 1:], lo, hi, refine_tol,
                  coincidence_tol), step
+
+
+def _check_tol(name: str, tol: float) -> None:
+    # Any other tolerance gives a wrong answer, not an error: compare passes
+    # every deviation against nan, and the scan drops or adds roots.
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
 
 
 def _free(vl: np.ndarray, vr: np.ndarray, w: np.ndarray, curv: np.ndarray,
@@ -393,6 +404,7 @@ def compare(
     scan_step: float = float("nan"),
 ) -> OracleReport:
     """Position-by-position match of two ascending root sequences."""
+    _check_tol("tol", tol)
     a = np.asarray(solver_roots, dtype=float)
     b = np.asarray(oracle_roots, dtype=float)
     m = min(a.size, b.size)

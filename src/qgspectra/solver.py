@@ -38,12 +38,12 @@ is carried across them.  (b) When level m+1 is regular, the bound above
 fixes its root count: the separator index at or below each window end,
 plus one where ``g_{m+1}`` there is within the threshold or has the sign
 opposite to the separator's ``(-1)**n``.  With no descent (M = 0) the
-count checks level 0 itself.  The coincidence threshold is applied in
-one place, ``Derivatives.near_zero``: it judges the differences (a)
-skips, the window-end values (b) ranks, the coincidences on separators
-and the window edges.  A table missing an even number of roots
-below the regular level passes both; catching that needs an exact
-per-level zero count.
+count checks level 0 itself.  The coincidence threshold is one constant,
+``trig.COINCIDENCE_TOL``, applied in one place, ``Derivatives.near_zero``:
+it judges the differences (a) skips, the window-end values (b) ranks,
+the coincidences on separators and the window edges.  A table missing an
+even number of roots below the regular level passes both; catching that
+needs an exact per-level zero count.
 
 The bracket around each single sign change is then refined by
 ``trig.refine_roots``, a vectorized safeguarded Halley iteration that
@@ -109,11 +109,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from .trig import (
+    COINCIDENCE_TOL,
     DerivativeLadder,
     Derivatives,
     TrigSpectralFunction,
@@ -165,27 +166,25 @@ class SeparatorFailure(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
-    """Window and tolerances for the ladder solver.
+    """Window and root tolerance for the ladder solver.
 
-    ``coincidence_tol`` is rescaled internally by ``1 + sum|a_j|`` of the
-    ladder level being tested (its ``Derivatives.sigma``), so it is a
-    relative threshold; ``Derivatives.near_zero`` applies it.  The
-    ladder's depth is no setting; ``trig.MAX_ORDER`` caps it.
+    Neither the coincidence threshold nor the ladder's depth is a
+    setting: ``Derivatives.near_zero`` applies ``trig.COINCIDENCE_TOL``,
+    relative to ``1 + sum|a_j|`` of the level tested, and
+    ``trig.MAX_ORDER`` caps the ladder.  ``coincidence_tol`` reads the
+    threshold, for a caller that hands it to ``scan_roots``.
     """
+
+    coincidence_tol: ClassVar[float] = COINCIDENCE_TOL
 
     k_max: float
     root_tol: float = 1e-12
-    coincidence_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k_max) and self.k_max > 0.0):
             raise ValueError(f"k_max must be positive and finite, got {self.k_max}")
         if not (0.0 < self.root_tol < self.k_max):
             raise ValueError(f"root_tol must be in (0, k_max), got {self.root_tol}")
-        if not (math.isfinite(self.coincidence_tol) and self.coincidence_tol > 0.0):
-            raise ValueError(
-                f"coincidence_tol must be positive and finite, got {self.coincidence_tol}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,13 +315,13 @@ def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level
     inside = (lo < boundaries) & (boundaries < hi)
     pts = np.concatenate(([lo], boundaries[inside], [hi]))
     vals = derivs.g(pts)
-    small = derivs.near_zero(vals, cfg.coincidence_tol)
+    small = derivs.near_zero(vals)
 
     coinc = np.zeros(pts.size, dtype=bool)
     if upper_coincident is not None:
         coinc[1:-1] = small[1:-1]
         rise = np.diff(vals)
-        read = np.flatnonzero(~derivs.near_zero(rise, cfg.coincidence_tol))
+        read = np.flatnonzero(~derivs.near_zero(rise))
         flips = np.cumsum(np.concatenate(([False], ~upper_coincident[inside])))
         turned = (rise[read] > 0.0) ^ (flips[read] % 2 == 1)
         bad = np.flatnonzero(turned[1:] != turned[:-1])
@@ -377,7 +376,7 @@ def _check_count(derivs: Derivatives, level: int, roots: RootTable, cfg: SolverC
     g = derivs.g(ends, level)
     # Level 1 keeps s0 and shifts the leading phase by -1/2.
     n = np.floor(ends / (math.pi / derivs.f.s0) - (derivs.f.gamma0 - 0.5 * level))
-    rank = n + (derivs.near_zero(g, cfg.coincidence_tol, level) | ((g < 0.0) != (n % 2 == 1)))
+    rank = n + (derivs.near_zero(g, level=level) | ((g < 0.0) != (n % 2 == 1)))
     if len(roots) != rank[1] - rank[0]:
         raise SeparatorFailure(
             f"the regular level above holds {len(roots)} roots, its "

@@ -18,8 +18,10 @@ A description file is a single YAML mapping with a ``kind`` discriminator:
     ``terms`` is a list of maps with keys ``S``, ``gamma``, ``a``.  Phases
     are in units of pi.
 
-Any kind may carry an optional ``solver`` map overriding ``k_max``,
-``root_tol`` and ``coincidence_tol``, each a positive finite number.
+Any kind may carry an optional ``solver`` map overriding ``k_max`` and
+``root_tol``, each a positive finite number.  The coincidence threshold
+is no setting (``trig.COINCIDENCE_TOL``), so a ``coincidence_tol`` key is
+refused as unknown.
 
 A kind is one ``_KINDS`` entry: its loader and the top-level keys it
 reads.  ``load_graph_spec`` checks those keys, the loader builds the
@@ -51,7 +53,7 @@ __all__ = [
     "trig_spec_data",
 ]
 
-_SOLVER_KEYS = ("k_max", "root_tol", "coincidence_tol")
+_SOLVER_KEYS = ("k_max", "root_tol")
 _LEADING_KEYS = ("S0", "gamma0")
 _TERM_KEYS = ("S", "gamma", "a")
 

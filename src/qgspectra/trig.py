@@ -79,6 +79,7 @@ __all__ = [
     "REGULARITY_MARGIN",
     "is_regular",
     "MAX_ORDER",
+    "COINCIDENCE_TOL",
     "build_ladder",
     "refine_roots",
     "Period",
@@ -284,6 +285,11 @@ def _cosine_blocks(s: np.ndarray, pg: np.ndarray, x: np.ndarray):
 # Unit roundoff of binary64.
 UNIT_ROUNDOFF = 2.0 ** -53
 
+# The coincidence threshold, relative to ``1 + sum|a_j|`` of the level
+# tested (``Derivatives.near_zero``).  It is no setting: a looser one turns
+# near-zeros into fake separator-coincidences and relabels the spectrum.
+COINCIDENCE_TOL = 1e-10
+
 
 class Derivatives:
     """``g`` and its first three derivatives of one cosine sum, and bounds on their rounding.
@@ -404,14 +410,15 @@ class Derivatives:
         """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)``, p = 0..3, at ``x >= 0``."""
         return UNIT_ROUNDOFF * (self.B[p + 1] * x + self._c[p])
 
-    def near_zero(self, v, tol: float, level: int = 0, x=None) -> np.ndarray:
+    def near_zero(self, v, tol: float = COINCIDENCE_TOL, level: int = 0, x=None) -> np.ndarray:
         """Where the computed values ``v`` of level 0 or 1 are judged zero.
 
         This is the one place the coincidence threshold is applied: ``v``
         is zero where ``|v| <= tol * (1 + sigma[level])``, and, for values
-        of ``g`` at given points ``x``, also ``|v| <= err(0, x)``.  The solver's
-        coincidences, window edges, Rolle read and count ranks and the
-        oracle's tangent test ask it.  The oracle's width and distance
+        of ``g`` at given points ``x``, also ``|v| <= err(0, x)``.  ``tol``
+        is ``COINCIDENCE_TOL``; only a caller of ``scan_roots`` can give
+        the oracle another.  The solver's coincidences, window edges, Rolle
+        read and count ranks and the oracle's tangent test ask it.  The oracle's width and distance
         rules (its floor cell, the cut at the window start and the merge of
         close roots) are not value tests and do not; a certified near-zero
         decision has to replace them alongside this one.

@@ -136,6 +136,15 @@ class TestSolve:
             assert out.startswith("n,k,E,kind\n"), name
             assert len(out.splitlines()) > 10, name
 
+    def test_wide_sum_has_no_fake_coincidences(self, capsys):
+        # 212 roots, as the scan finds.  A threshold looser than
+        # trig.COINCIDENCE_TOL, 1e-4, gives 213, one a fake coincidence.
+        rc, out, _ = run(capsys, ["solve", "--graph", str(DATA_DIR / "wide_sum.yaml")])
+        assert rc == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 212
+        assert not any(row.endswith(",separator-coincidence") for row in rows)
+
 
 class TestOrder:
     def test_worked_star(self, capsys, star_file):
@@ -378,7 +387,14 @@ class TestFailureModes:
         rc, out, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "4"])
         assert (rc, out) == (1, "")
         assert (f"{p}:5: unknown key 'max_order' "
-                "(allowed: k_max, root_tol, coincidence_tol)") in err
+                "(allowed: k_max, root_tol)") in err
+
+    def test_coincidence_threshold_is_not_a_solver_setting(self, capsys, tmp_path):
+        p = tmp_path / "star.yaml"
+        p.write_text(STAR_YAML + "solver:\n  coincidence_tol: 1e-9\n", encoding="utf-8")
+        rc, out, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "4"])
+        assert (rc, out) == (1, "")
+        assert f"{p}:5: unknown key 'coincidence_tol' (allowed: k_max, root_tol)" in err
 
     def test_separator_failure_prints_the_end_values(self, capsys, star_file, monkeypatch):
         # Without separators the regular level yields at most one root, and
@@ -413,10 +429,14 @@ class TestFailureModes:
         ["order", "--coincidence-tol", "7"],
         ["eval", "--k", "1", "--tol", "5"],
         ["solve", "--kmax", "4", "--max-order", "8"],
+        # The coincidence threshold is a constant, trig.COINCIDENCE_TOL.
+        ["solve", "--kmax", "4", "--coincidence-tol", "1e-4"],
+        ["verify", "--kmax", "4", "--coincidence-tol", "1e-4"],
     ])
     def test_flags_a_command_does_not_read_are_refused(self, capsys, star_file, argv):
         rc, out, err = run(capsys, argv[:1] + ["--graph", star_file] + argv[1:])
         assert (rc, out) == (1, "")
+        assert err.startswith("usage: qgspectra ")
         assert "unrecognized arguments" in err
 
     def test_unknown_command(self, capsys):

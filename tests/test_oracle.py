@@ -21,6 +21,7 @@ from qgspectra import (
     build_chain,
     build_star,
     compare,
+    load_graph_spec,
     normalize,
     random_star,
     regularity_sum,
@@ -142,6 +143,22 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
 
 
 class TestScanRoots:
+    @pytest.mark.parametrize("kw", [
+        # Unchecked, each gives a wrong count against 57 on (0, 10]: a nan
+        # refine_tol none, 0 and -1 58, the bad coincidence thresholds 61.
+        pytest.param({"refine_tol": math.nan}, id="refine-nan"),
+        pytest.param({"refine_tol": 0.0}, id="refine-zero"),
+        pytest.param({"refine_tol": -1.0}, id="refine-negative"),
+        pytest.param({"coincidence_tol": math.nan}, id="coincidence-nan"),
+        pytest.param({"coincidence_tol": -1.0}, id="coincidence-negative"),
+    ])
+    def test_rejects_bad_tolerances(self, kw):
+        f = load_graph_spec(ROOT / "specs" / "star.yaml").function
+        assert len(scan_roots(f, (0.0, 10.0))[0]) == 57
+        (key, value), = kw.items()
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite, got {value}"):
+            scan_roots(f, (0.0, 10.0), **kw)
+
     def test_plain_cosine(self):
         f = normalize(1.0, 0.0, [])
         roots, step = scan_roots(f, (0.0, 10.0))
@@ -305,7 +322,7 @@ def tiled_and_direct(f, window, **kw):
     return (taken or ["direct"])[0], roots, direct
 
 
-def assert_tiles_the_direct_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
+def assert_tiles_the_direct_scan(f, window, refine_tol=1e-12):
     """Check the scan of ``window`` against the whole-window scan and say
     how it went.
 
@@ -318,8 +335,7 @@ def assert_tiles_the_direct_scan(f, window, refine_tol=1e-12, coincidence_tol=1e
     rounding adds the half ulp.  Otherwise the whole-window scan must
     fail ``compare`` against the solver too: "direct scan wrong".
     """
-    how, roots, direct = tiled_and_direct(f, window, refine_tol=refine_tol,
-                                          coincidence_tol=coincidence_tol)
+    how, roots, direct = tiled_and_direct(f, window, refine_tol=refine_tol)
     if how != "tiled":
         assert roots.tobytes() == direct.tobytes()
         return how
@@ -332,7 +348,7 @@ def assert_tiles_the_direct_scan(f, window, refine_tol=1e-12, coincidence_tol=1e
         tol = 2.0 * (refine_tol + 4.0 * EPS * direct) + 0.5 * np.spacing(direct)
         if np.all(np.abs(roots - direct) <= tol):
             return how
-    ks = solve_ladder(f, SolverConfig(k_max=hi, coincidence_tol=coincidence_tol)).spectrum.ks
+    ks = solve_ladder(f, SolverConfig(k_max=hi)).spectrum.ks
     assert not compare(ks[ks > lo], direct).ok
     return "direct scan wrong"
 
@@ -361,8 +377,7 @@ class TestTiledScan:
         for name in ("networks-highk", "cli-specs"):
             wl = bench_workloads.build_workload(name, seed, ROOT)
             cases.update((c.name, c) for c in wl.cases + wl.spec_cases)
-        taken = {name: assert_tiles_the_direct_scan(
-                     c.f, (0.0, c.k_max), coincidence_tol=c.config.coincidence_tol)
+        taken = {name: assert_tiles_the_direct_scan(c.f, (0.0, c.k_max))
                  for name, c in cases.items()}
         assert {name: how for name, how in taken.items() if how != "direct"} == {
             "worked-star": "tiled", "worked-chain": "tiled"}
@@ -664,6 +679,11 @@ def test_oracle_does_not_import_the_solver():
 
 
 class TestCompare:
+    def test_rejects_a_nan_tolerance(self):
+        # dev > nan is false for every deviation, so unchecked this passes.
+        with pytest.raises(ValueError, match="tol must be positive and finite, got nan"):
+            compare([1.0, 2.0], [2.0, 3.0], tol=math.nan)
+
     def test_identical_lists(self):
         rep = compare([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], tol=1e-9)
         assert rep.ok

@@ -63,7 +63,8 @@ class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig(k_max=10.0)
         assert cfg.root_tol == 1e-12
-        assert cfg.coincidence_tol == 1e-10
+        # The coincidence threshold is a constant, read through the config.
+        assert cfg.coincidence_tol == trig.COINCIDENCE_TOL == 1e-10
         # The ladder's depth is no setting: build_ladder caps it.
         assert not hasattr(cfg, "max_order")
 
@@ -74,15 +75,20 @@ class TestConfig:
             SolverConfig(k_max=10.0, root_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(k_max=10.0, root_tol=11.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k_max=10.0, coincidence_tol=-1.0)
+        # Neither the coincidence threshold nor the ladder's depth is a setting.
+        with pytest.raises(TypeError):
+            SolverConfig(k_max=1.0, coincidence_tol=1e-4)
         with pytest.raises(TypeError):
             SolverConfig(k_max=10.0, max_order=8)
 
     @pytest.mark.parametrize("key", ["k_max", "coincidence_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        # k_max is checked; coincidence_tol is refused whatever its value.
+        error, match = ((TypeError, "unexpected keyword argument 'coincidence_tol'")
+                        if key == "coincidence_tol" else
+                        (ValueError, f"{key} must be positive and finite"))
+        with pytest.raises(error, match=match):
             SolverConfig(**{"k_max": 10.0, key: value})
 
 
@@ -368,11 +374,12 @@ def test_one_derivatives_per_sweep_level_and_per_scan(monkeypatch, worked_star):
 def test_every_value_decision_asks_near_zero(monkeypatch, worked_star):
     # The sweep's coincidences and window edges, its Rolle read on a
     # descent, the count's window-end ranks and the oracle's tangent test
-    # are all judged by Derivatives.near_zero.
+    # are all judged by Derivatives.near_zero, at the one threshold.
     calls = []
     near_zero = trig.Derivatives.near_zero
 
-    def recording(self, v, tol, level=0, x=None):
+    def recording(self, v, tol=trig.COINCIDENCE_TOL, level=0, x=None):
+        assert tol == trig.COINCIDENCE_TOL
         calls.append((sys._getframe(1).f_code.co_name, v.size, level, x is not None))
         return near_zero(self, v, tol, level, x)
 

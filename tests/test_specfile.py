@@ -302,9 +302,12 @@ class TestSchemaErrors:
               {key}: {value}
             """,
         )
-        with pytest.raises(SpecFileError, match=f"{key} must be positive and finite") as e:
+        # coincidence_tol is no setting, so it is refused whatever its value.
+        message = (f"unknown key '{key}' (allowed: k_max, root_tol)" if key == "coincidence_tol"
+                   else f"{key} must be positive and finite")
+        with pytest.raises(SpecFileError) as e:
             load_graph_spec(path)
-        assert str(e.value).startswith(f"{path}:6:")
+        assert str(e.value).startswith(f"{path}:6: {message}")
 
     def test_integer_too_large_for_a_float(self, tmp_path):
         path = write(
@@ -336,7 +339,7 @@ class TestSchemaErrors:
         with pytest.raises(SpecFileError) as e:
             load_graph_spec(path)
         assert (e.value.line, e.value.message) == (
-            5, "unknown key 'max_order' (allowed: k_max, root_tol, coincidence_tol)")
+            5, "unknown key 'max_order' (allowed: k_max, root_tol)")
 
     def test_message_carries_path_and_line(self, tmp_path):
         path = write(tmp_path, "kind: pentagram\n")
@@ -429,12 +432,12 @@ class TestLoaderErrors:
                      "expected a number, got 'x'", id="term-gamma-inf-and-a-text"),
         pytest.param(_STAR + "solver: 50\n", 4, "solver must be a mapping", id="solver-scalar"),
         pytest.param(_STAR + "solver:\n  k_max: 50.0\n  tolerance: 1e-9\n", 6,
-                     "unknown key 'tolerance' (allowed: k_max, root_tol, coincidence_tol)",
+                     "unknown key 'tolerance' (allowed: k_max, root_tol)",
                      id="solver-unknown-key"),
-        pytest.param(_STAR + "solver:\n  coincidence_tol: -1\n  root_tol: 0.0\n  k_max: -5.0\n", 7,
+        pytest.param(_STAR + "solver:\n  root_tol: 0.0\n  k_max: -5.0\n", 6,
                      "k_max must be positive and finite, got -5.0", id="solver-bad-values-in-key-order"),
         pytest.param(_STAR + "solver:\n  max_order: true\n", 5,
-                     "unknown key 'max_order' (allowed: k_max, root_tol, coincidence_tol)",
+                     "unknown key 'max_order' (allowed: k_max, root_tol)",
                      id="max-order-bool"),
         pytest.param("kind: star\n1: [1.0, 7.0, 11.0]\n", 2,
                      "mapping keys must be strings, got 1", id="non-string-key"),
@@ -464,9 +467,7 @@ class TestLoaderErrors:
     def test_solver_overrides_keep_the_fixed_key_order(self, tmp_path):
         path = write(
             tmp_path,
-            _STAR + 'solver:\n  coincidence_tol: 1e-9\n  root_tol: "1e-13"\n  k_max: 30\n',
+            _STAR + 'solver:\n  root_tol: "1e-13"\n  k_max: 30\n',
         )
         overrides = load_graph_spec(path).solver_overrides
-        assert list(overrides.items()) == [
-            ("k_max", 30.0), ("root_tol", 1e-13), ("coincidence_tol", 1e-9),
-        ]
+        assert list(overrides.items()) == [("k_max", 30.0), ("root_tol", 1e-13)]

@@ -43,7 +43,7 @@ from .solver import (
     solve_ladder,
 )
 from .specfile import LoadedSpec, load_graph_spec
-from .trig import Derivatives, OrderCapError, build_ladder, regularity_sum
+from .trig import ROOT_TOL, Derivatives, OrderCapError, build_ladder, regularity_sum
 
 __all__ = ["main"]
 
@@ -72,17 +72,15 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p: _Parser, kmax: bool = True, tol_help: str | None = None) -> None:
+    def common(p: _Parser, kmax: bool = True) -> None:
         p.add_argument("--graph", required=True, metavar="FILE",
                        help="graph description file (YAML)")
         if kmax:
             p.add_argument("--kmax", type=float, default=None,
                            help="upper end of the search window (0, kmax]")
-        if tol_help:
-            p.add_argument("--tol", type=float, default=None, help=tol_help)
 
     p_solve = sub.add_parser("solve", help="compute the spectrum as CSV")
-    common(p_solve, tol_help="root tolerance (default 1e-12)")
+    common(p_solve)
     p_solve.add_argument("--out", metavar="FILE", default=None,
                          help="write CSV here instead of stdout")
     p_solve.set_defaults(func=_cmd_solve)
@@ -94,14 +92,16 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser(
         "verify", help="cross-check the solver against an independent scan"
     )
-    common(p_verify, tol_help=f"comparison tolerance (default {_DEFAULT_COMPARE_TOL:g})")
+    common(p_verify)
+    p_verify.add_argument("--tol", type=float, default=_DEFAULT_COMPARE_TOL,
+                          help=f"comparison tolerance (default {_DEFAULT_COMPARE_TOL:g})")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_eval = sub.add_parser("eval", help="tabulate the ladder on a k grid")
     common(p_eval)
     p_eval.add_argument("--k", type=float, action="append", default=None,
                         help="evaluation point (repeatable; overrides the grid)")
-    p_eval.add_argument("--kmin", type=float, default=0.0,
+    p_eval.add_argument("--kmin", type=float, default=None,
                         help="grid start (default 0)")
     p_eval.add_argument("--step", type=float, default=None,
                         help="grid spacing")
@@ -112,23 +112,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _settings(spec: LoadedSpec, **flags) -> dict:
-    """The file's ``solver`` block overlaid with the flags actually given;
-    a setting neither gives keeps the default of the function it goes to."""
-    given = {key: value for key, value in flags.items() if value is not None}
-    return {**spec.solver_overrides, **given}
-
-
-def _resolve_config(spec: LoadedSpec, args, root_tol: float | None) -> SolverConfig:
-    """Solver settings from the flags over the file's ``solver`` block.
-
-    ``root_tol`` is passed separately because ``verify`` reads ``--tol`` as
-    its comparison tolerance, not the root tolerance.
-    """
-    settings = _settings(spec, k_max=args.kmax, root_tol=root_tol)
-    if "k_max" not in settings:
+def _kmax(spec: LoadedSpec, args) -> float:
+    """The window's upper end: ``--kmax``, else the file's ``solver.k_max``."""
+    kmax = spec.solver_overrides.get("k_max") if args.kmax is None else args.kmax
+    if kmax is None:
         raise ValueError("no search window: pass --kmax or set solver.k_max in the file")
-    return SolverConfig(**settings)
+    return kmax
 
 
 def _output(path: str | None):
@@ -140,7 +129,7 @@ def _output(path: str | None):
 
 def _cmd_solve(args) -> int:
     spec = load_graph_spec(args.graph)
-    cfg = _resolve_config(spec, args, args.tol)
+    cfg = SolverConfig(_kmax(spec, args))
     solution = solve_ladder(spec.function, cfg)
     spectrum = solution.spectrum
     kinds = (INTERIOR, SEPARATOR_COINCIDENCE)
@@ -169,19 +158,18 @@ def _cmd_order(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = load_graph_spec(args.graph)
-    compare_tol = args.tol if args.tol is not None else _DEFAULT_COMPARE_TOL
-    # A nan tolerance would pass every deviation: compare's dev > nan is false.
-    if not (math.isfinite(compare_tol) and compare_tol > 0.0):
-        raise ValueError(f"--tol must be positive and finite, got {compare_tol}")
-    cfg = _resolve_config(spec, args, None)
+    # Refused before the solve, which a bad tolerance would only waste.
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    cfg = SolverConfig(_kmax(spec, args))
     solution = solve_ladder(spec.function, cfg)
     ks = solution.spectrum.ks
     oracle_roots, step = scan_roots(
         spec.function,
         (0.0, cfg.k_max),
-        refine_tol=min(1e-12, compare_tol / 10.0),
+        refine_tol=min(ROOT_TOL, args.tol / 10.0),
     )
-    report = compare(ks, oracle_roots, tol=compare_tol, scan_step=step)
+    report = compare(ks, oracle_roots, tol=args.tol, scan_step=step)
     print(f"order: M = {solution.ladder.order}")
     print(
         f"comparison: {report.verdict} ({len(ks)} solver roots, "
@@ -225,14 +213,16 @@ def _grid_rows(kmin: float, kmax: float, step: float) -> int:
 def _cmd_eval(args) -> int:
     spec = load_graph_spec(args.graph)
     if args.k:
+        if not (args.kmin is None and args.kmax is None and args.step is None):
+            raise ValueError("--k points take no grid: drop --kmin, --kmax and --step")
         if not all(map(math.isfinite, args.k)):
             raise ValueError("evaluation points must be finite")
         blocks = [list(args.k)]
     else:
-        kmax = _settings(spec, k_max=args.kmax).get("k_max")
-        if kmax is None or args.step is None:
+        if args.step is None:
             raise ValueError("eval needs --k points, or --kmax with --step")
-        kmin, step = args.kmin, args.step
+        kmin = 0.0 if args.kmin is None else args.kmin
+        kmax, step = _kmax(spec, args), args.step
         count = _grid_rows(kmin, kmax, step)
         blocks = (
             [min(kmin + i * step, kmax) for i in range(start, min(start + _BLOCK_ROWS, count))]

@@ -116,7 +116,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import COINCIDENCE_TOL, Derivatives, Period, TrigSpectralFunction, period, refine_roots
+from .trig import (COINCIDENCE_TOL, ROOT_TOL, Derivatives, Period, TrigSpectralFunction, period,
+                   refine_roots)
 
 # A window is tiled when it is longer than this many periods; the cost
 # behind the rule is in ``scan_roots``.
@@ -216,7 +217,7 @@ def _certified_roots(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray,
 def scan_roots(
     f: TrigSpectralFunction,
     window: tuple[float, float],
-    refine_tol: float = 1e-12,
+    refine_tol: float = ROOT_TOL,
     coincidence_tol: float = COINCIDENCE_TOL,
 ) -> tuple[np.ndarray, float]:
     """All roots of ``f`` in ``(lo, hi]`` by derivative-bound cells.
@@ -224,7 +225,7 @@ def scan_roots(
     Tangent roots are counted once.  Returns the ascending roots as an
     array and the starting cell width, ``pi/(4*s0)``; see the module
     docstring for the rules.  Both tolerances must be positive and
-    finite; ``coincidence_tol`` defaults to the solver's threshold,
+    finite; they default to the solver's, ``trig.ROOT_TOL`` and
     ``trig.COINCIDENCE_TOL``.
     A root certified by ``trig.refine_roots`` lies within
     ``refine_tol + 4*eps*|k|`` of a root of ``f``, the solver's rule,
@@ -409,7 +410,8 @@ def compare(
     b = np.asarray(oracle_roots, dtype=float)
     m = min(a.size, b.size)
     dev = np.abs(a[:m] - b[:m])
-    bad = np.flatnonzero(dev > tol)
+    # Not dev > tol: a nan deviation must fail at its index, as inf does.
+    bad = np.flatnonzero(~(dev <= tol))
     # The first index where the lists disagree; when the common prefix
     # matches and the counts differ, the divergence is right past it.
     where = int(bad[0]) if bad.size else m

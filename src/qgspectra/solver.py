@@ -59,7 +59,7 @@ values,
 ``lo + (hi - lo)*arccos((flo + fhi)/(fhi - flo))/pi``, which is exact for
 a pure cosine.  After each evaluation at ``x``, the values already in
 hand test the Halley point ``y``: the quadratic Taylor model at ``x``
-must certify a sign change of ``g`` within ``tol = root_tol + 4*eps*|y|``
+must certify a sign change of ``g`` within ``tol = ROOT_TOL + 4*eps*|y|``
 of ``y`` (``trig._certifier`` states the margin).  The bracket holds
 exactly one root, so that root is then within ``tol`` of ``y``, and
 ``y`` is returned; most brackets stop after two evaluations.  Where the
@@ -67,7 +67,7 @@ test fails, Brent's stopping rule (the last step within ``tol``) ends
 the element; at large k, where the rounding of ``g`` is wider than
 ``tol``, that is what ends the loop.  An element still running after
 the iteration cap raises ``RefinementStall``.  A bracket at most
-``2*root_tol`` wide is not refined: its midpoint is within ``root_tol``
+``2*ROOT_TOL`` wide is not refined: its midpoint is within ``ROOT_TOL``
 of its root.
 
 A commensurate sum, whose actions are all integer multiples of one unit
@@ -90,8 +90,8 @@ that it sits on.  On this path a root is in the window when its image is
 at most ``k_max``; ``_sweep`` judges the window end by its value instead.
 The certificate of an image is its root's: the stored sum is exactly
 periodic, so ``r* + q*P`` is a root wherever ``r*`` is, and the one
-rounding takes a root within ``root_tol + 4*eps*r`` of ``r*`` to an image
-within ``root_tol + 4*eps*k`` of ``r* + q*P``.  The direct pipeline
+rounding takes a root within ``ROOT_TOL + 4*eps*r`` of ``r*`` to an image
+within ``ROOT_TOL + 4*eps*k`` of ``r* + q*P``.  The direct pipeline
 answers instead when a level has no root below its lower period in the
 head, when a cut falls at or below ``2*P``, where windows switch paths,
 or when the head's two periods below the cut differ in their
@@ -115,6 +115,7 @@ import numpy as np
 
 from .trig import (
     COINCIDENCE_TOL,
+    ROOT_TOL,
     DerivativeLadder,
     Derivatives,
     TrigSpectralFunction,
@@ -166,25 +167,25 @@ class SeparatorFailure(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
-    """Window and root tolerance for the ladder solver.
+    """The window (0, k_max] of the ladder solver; nothing else is a setting.
 
-    Neither the coincidence threshold nor the ladder's depth is a
-    setting: ``Derivatives.near_zero`` applies ``trig.COINCIDENCE_TOL``,
-    relative to ``1 + sum|a_j|`` of the level tested, and
-    ``trig.MAX_ORDER`` caps the ladder.  ``coincidence_tol`` reads the
-    threshold, for a caller that hands it to ``scan_roots``.
+    Roots are placed within ``trig.ROOT_TOL``, ``Derivatives.near_zero``
+    applies ``trig.COINCIDENCE_TOL``, relative to ``1 + sum|a_j|`` of the
+    level tested, and ``trig.MAX_ORDER`` caps the ladder.  ``root_tol``
+    and ``coincidence_tol`` read the two tolerances, for a caller that
+    hands them to ``scan_roots``.
     """
 
     coincidence_tol: ClassVar[float] = COINCIDENCE_TOL
+    root_tol: ClassVar[float] = ROOT_TOL
 
     k_max: float
-    root_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k_max) and self.k_max > 0.0):
             raise ValueError(f"k_max must be positive and finite, got {self.k_max}")
-        if not (0.0 < self.root_tol < self.k_max):
-            raise ValueError(f"root_tol must be in (0, k_max), got {self.root_tol}")
+        if not self.k_max > ROOT_TOL:  # _sweep starts the window at ROOT_TOL
+            raise ValueError(f"k_max must exceed ROOT_TOL = {ROOT_TOL:g}, got {self.k_max}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,7 +281,7 @@ def regular_separators(f: TrigSpectralFunction, k_max: float) -> np.ndarray:
     return ks[(ks > 0.0) & (ks <= k_max)]
 
 
-def _bracket_roots(derivs: Derivatives, lo, hi, flo, fhi, root_tol: float) -> np.ndarray:
+def _bracket_roots(derivs: Derivatives, lo, hi, flo, fhi) -> np.ndarray:
     """The root inside each sign-change bracket ``[lo, hi]``, all at once.
 
     Every bracket runs between extrema, of the leading cosine or of the
@@ -289,7 +290,7 @@ def _bracket_roots(derivs: Derivatives, lo, hi, flo, fhi, root_tol: float) -> np
     stalled element raises ``RefinementStall``.
     """
     start = lo + (hi - lo) * np.arccos((flo + fhi) / (fhi - flo)) / math.pi
-    ks, _ = refine_roots(derivs, 0, lo, hi, flo, start, float(hi.max(initial=0.0)), root_tol)
+    ks, _ = refine_roots(derivs, 0, lo, hi, flo, start, float(hi.max(initial=0.0)), ROOT_TOL)
     stalled = np.flatnonzero(np.isnan(ks))
     if stalled.size:
         i = stalled[0]
@@ -311,7 +312,7 @@ def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level
     lower edge is the trivial zero at k=0, which is excluded from the
     counting, while one at ``k_max`` is recorded as a root.
     """
-    lo, hi = cfg.root_tol, cfg.k_max
+    lo, hi = ROOT_TOL, cfg.k_max
     inside = (lo < boundaries) & (boundaries < hi)
     pts = np.concatenate(([lo], boundaries[inside], [hi]))
     vals = derivs.g(pts)
@@ -337,13 +338,13 @@ def _sweep(derivs: Derivatives, boundaries: np.ndarray, cfg: SolverConfig, level
     skip[-1] |= edge
 
     iv = np.flatnonzero(~skip & (vals[:-1] * vals[1:] < 0.0))
-    # A bracket at most 2*root_tol wide already has its root within
-    # root_tol of its midpoint.
-    narrow = pts[iv + 1] - pts[iv] <= 2.0 * cfg.root_tol
+    # A bracket at most 2*ROOT_TOL wide already has its root within
+    # ROOT_TOL of its midpoint.
+    narrow = pts[iv + 1] - pts[iv] <= 2.0 * ROOT_TOL
     nv, iv = iv[narrow], iv[~narrow]
     interior = np.concatenate((
         0.5 * (pts[nv] + pts[nv + 1]),
-        _bracket_roots(derivs, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1], cfg.root_tol),
+        _bracket_roots(derivs, pts[iv], pts[iv + 1], vals[iv], vals[iv + 1]),
     ))
 
     ks = np.concatenate((pts[coinc], interior, pts[-1:] if edge else pts[:0]))
@@ -372,7 +373,7 @@ def descend_level(
 def _check_count(derivs: Derivatives, level: int, roots: RootTable, cfg: SolverConfig) -> None:
     """Check (b): the table ``roots`` of the regular level ``level`` (0 or 1)
     of ``derivs`` holds as many roots as its separators give."""
-    ends = np.array([cfg.root_tol, cfg.k_max])
+    ends = np.array([ROOT_TOL, cfg.k_max])
     g = derivs.g(ends, level)
     # Level 1 keeps s0 and shifts the leading phase by -1/2.
     n = np.floor(ends / (math.pi / derivs.f.s0) - (derivs.f.gamma0 - 0.5 * level))
@@ -381,7 +382,7 @@ def _check_count(derivs: Derivatives, level: int, roots: RootTable, cfg: SolverC
         raise SeparatorFailure(
             f"the regular level above holds {len(roots)} roots, its "
             f"separators give {int(rank[1] - rank[0])}",
-            (cfg.root_tol, cfg.k_max), roots.level - 1, tuple(g.tolist()))
+            (ROOT_TOL, cfg.k_max), roots.level - 1, tuple(g.tolist()))
 
 
 def _solve_direct(ladder: DerivativeLadder, cfg: SolverConfig) -> LadderSolution:
@@ -413,18 +414,18 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     own boundaries and continues with the images ``r + q*P`` of one
     period of head roots below the cut (see the module docstring).  A
     root is then in the window when its image is at most ``k_max``, and
-    each image, rounded once, is within ``root_tol + 4*eps*k`` of a root
+    each image, rounded once, is within ``ROOT_TOL + 4*eps*k`` of a root
     because the stored sum is exactly periodic.  Shorter windows, sums
     without a period and levels too sparse to tile take the whole window
     through the pipeline.
     """
     spacing = math.pi / f.s0
-    # A root is placed within root_tol, so a tolerance of half the
+    # A root is placed within ROOT_TOL, so a tolerance of half the
     # separator spacing or more says nothing the separators do not.
-    if not 2.0 * cfg.root_tol < spacing:
+    if not 2.0 * ROOT_TOL < spacing:
         raise ValueError(
-            f"2*root_tol = {2.0 * cfg.root_tol} must be smaller than the "
-            f"separator spacing pi/s0 = {spacing}"
+            f"s0 = {f.s0} is too large: the separator spacing pi/s0 = {spacing} "
+            f"must exceed twice the root tolerance, {2.0 * ROOT_TOL:g}"
         )
     ladder = build_ladder(f)
     per = period(f)

@@ -18,15 +18,14 @@ A description file is a single YAML mapping with a ``kind`` discriminator:
     ``terms`` is a list of maps with keys ``S``, ``gamma``, ``a``.  Phases
     are in units of pi.
 
-Any kind may carry an optional ``solver`` map overriding ``k_max`` and
-``root_tol``, each a positive finite number.  The coincidence threshold
-is no setting (``trig.COINCIDENCE_TOL``), so a ``coincidence_tol`` key is
-refused as unknown.
+Any kind may carry an optional ``solver`` map with one key, ``k_max``,
+a positive finite number: the window.  The tolerances are no settings
+(``trig.ROOT_TOL``, ``trig.COINCIDENCE_TOL``), so a ``root_tol`` or
+``coincidence_tol`` key is refused as unknown.
 
 A kind is one ``_KINDS`` entry: its loader and the top-level keys it
 reads.  ``load_graph_spec`` checks those keys, the loader builds the
-function and graph, and the ``solver`` block is read last, in the fixed
-key order above.
+function and graph, and the ``solver`` block is read last.
 
 Errors raised here are :class:`SpecFileError` and carry the file path and
 the line of the offending element, formatted ``path:line: message``.  A
@@ -53,7 +52,7 @@ __all__ = [
     "trig_spec_data",
 ]
 
-_SOLVER_KEYS = ("k_max", "root_tol")
+_SOLVER_KEYS = ("k_max",)
 _LEADING_KEYS = ("S0", "gamma0")
 _TERM_KEYS = ("S", "gamma", "a")
 
@@ -205,7 +204,6 @@ def _solver_overrides(doc: _Doc, data: dict) -> dict[str, float]:
         return {}
     block = _mapping(doc, data["solver"], _SOLVER_KEYS, (), "solver")
     out: dict[str, float] = {}
-    # Fixed key order, not file order: it decides which error is reported.
     for key in _SOLVER_KEYS:
         if key not in block:
             continue

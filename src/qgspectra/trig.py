@@ -80,6 +80,7 @@ __all__ = [
     "is_regular",
     "MAX_ORDER",
     "COINCIDENCE_TOL",
+    "ROOT_TOL",
     "build_ladder",
     "refine_roots",
     "Period",
@@ -289,6 +290,10 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # tested (``Derivatives.near_zero``).  It is no setting: a looser one turns
 # near-zeros into fake separator-coincidences and relabels the spectrum.
 COINCIDENCE_TOL = 1e-10
+
+# How close a refined root lies to a root of the stored sum, beside the
+# ``4*eps*|k|`` rounding of k itself.  It is no setting either.
+ROOT_TOL = 1e-12
 
 
 class Derivatives:

@@ -175,6 +175,10 @@ class TestVerify:
         rc, out, _ = run(capsys, argv)
         assert rc == 0
         assert "verdict: pass" in out
+        # The same on the repository spec and its own window.
+        rc, out, _ = run(capsys, ["verify", "--graph", str(SPECS_DIR / "star.yaml"), "--tol", "1e-6"])
+        assert rc == 0
+        assert "comparison: pass" in out and "verdict: pass" in out
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tol_must_be_positive_and_finite(self, capsys, star_file, tol, monkeypatch):
@@ -268,6 +272,11 @@ class TestEval:
         (["--kmin", "nan", "--kmax", "1", "--step", "0.1"], "grid needs finite"),
         (["--kmin=-1e308", "--kmax", "1e308", "--step", "1"], "has too many rows"),
         (["--k", "0.5", "--k", "inf"], "evaluation points must be finite"),
+        # --k points would silently drop a grid, so the two are refused together.
+        (["--k", "1", "--kmin", "3"], "--k points take no grid"),
+        (["--k", "1", "--kmax", "9"], "--k points take no grid"),
+        (["--k", "1", "--step", "0.5", "--kmin", "3", "--kmax", "9"],
+         "--k points take no grid: drop --kmin, --kmax and --step"),
     ])
     def test_rejects_grids_that_cannot_be_tabulated(self, capsys, star_file, grid, reason):
         rc, out, err = run(capsys, ["eval", "--graph", star_file, *grid])
@@ -368,13 +377,24 @@ class TestFailureModes:
         assert rc == 1
         assert f"{p}:5: k_max must be positive and finite" in err
 
-    def test_root_tol_too_wide_for_the_separators(self, capsys):
-        # specs/trig.yaml has s0 = 6: pi/s0 = 0.52 is less than 2*0.3.
-        argv = ["solve", "--graph", str(SPECS_DIR / "trig.yaml"), "--tol", "0.3"]
-        rc, out, err = run(capsys, argv)
+    def test_root_tol_too_wide_for_the_separators(self, capsys, tmp_path):
+        # pi/s0 = 1.57e-12 is less than 2*ROOT_TOL = 2e-12; the message
+        # names s0, which the file gives.
+        p = tmp_path / "dense.yaml"
+        p.write_text("kind: trig\nleading: {S0: 2.0e12, gamma0: 0.0}\nterms: []\n",
+                     encoding="utf-8")
+        rc, out, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "1"])
         assert rc == 1
         assert out == ""
-        assert "2*root_tol = 0.6 must be smaller than the separator spacing" in err
+        assert ("s0 = 2000000000000.0 is too large: the separator spacing pi/s0 = "
+                "1.5707963267948965e-12 must exceed twice the root tolerance, 2e-12") in err
+
+    def test_window_inside_the_root_tolerance(self, capsys, star_file):
+        # Every window starts at ROOT_TOL; the message names the flag's
+        # value, not a setting the user never gave.
+        rc, out, err = run(capsys, ["solve", "--graph", star_file, "--kmax", "1e-13"])
+        assert (rc, out) == (1, "")
+        assert err == "qgspectra: error: k_max must exceed ROOT_TOL = 1e-12, got 1e-13\n"
 
     def test_order_cap_is_solver_failure(self, capsys):
         rc, out, err = run(capsys, ["solve", "--graph", str(DATA_DIR / "deep_ladder.yaml")])
@@ -386,15 +406,21 @@ class TestFailureModes:
         p.write_text(STAR_YAML + "solver:\n  max_order: 8\n", encoding="utf-8")
         rc, out, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "4"])
         assert (rc, out) == (1, "")
-        assert (f"{p}:5: unknown key 'max_order' "
-                "(allowed: k_max, root_tol)") in err
+        assert f"{p}:5: unknown key 'max_order' (allowed: k_max)" in err
 
     def test_coincidence_threshold_is_not_a_solver_setting(self, capsys, tmp_path):
         p = tmp_path / "star.yaml"
         p.write_text(STAR_YAML + "solver:\n  coincidence_tol: 1e-9\n", encoding="utf-8")
         rc, out, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "4"])
         assert (rc, out) == (1, "")
-        assert f"{p}:5: unknown key 'coincidence_tol' (allowed: k_max, root_tol)" in err
+        assert f"{p}:5: unknown key 'coincidence_tol' (allowed: k_max)" in err
+
+    def test_root_tolerance_is_not_a_solver_setting(self, capsys, tmp_path):
+        p = tmp_path / "star.yaml"
+        p.write_text(STAR_YAML + "solver:\n  root_tol: 1e-9\n", encoding="utf-8")
+        rc, out, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "4"])
+        assert (rc, out) == (1, "")
+        assert err == f"qgspectra: error: {p}:5: unknown key 'root_tol' (allowed: k_max)\n"
 
     def test_separator_failure_prints_the_end_values(self, capsys, star_file, monkeypatch):
         # Without separators the regular level yields at most one root, and
@@ -432,6 +458,8 @@ class TestFailureModes:
         # The coincidence threshold is a constant, trig.COINCIDENCE_TOL.
         ["solve", "--kmax", "4", "--coincidence-tol", "1e-4"],
         ["verify", "--kmax", "4", "--coincidence-tol", "1e-4"],
+        # The root tolerance is a constant, trig.ROOT_TOL; --tol is verify's.
+        ["solve", "--kmax", "4", "--tol", "1e-6"],
     ])
     def test_flags_a_command_does_not_read_are_refused(self, capsys, star_file, argv):
         rc, out, err = run(capsys, argv[:1] + ["--graph", star_file] + argv[1:])
@@ -450,7 +478,6 @@ class TestFailureModes:
         assert "solve" in out and "verify" in out
 
     @pytest.mark.parametrize("command, text", [
-        ("solve", "root tolerance (default 1e-12)"),
         ("verify", "comparison tolerance (default 1e-09)"),
     ])
     def test_tol_help_per_command(self, capsys, command, text):

@@ -710,6 +710,19 @@ class TestCompare:
         assert rep.mismatch_index == 1
         assert "root 2" in rep.message
 
+    @pytest.mark.parametrize("solver, oracle, index", [
+        ([1.0, 2.0], [1.0, math.nan], 1),
+        ([math.nan], [5.0], 0),
+        ([1.0, 2.0], [1.0, math.inf], 1),
+        ([-math.inf, 2.0], [1.0, 2.0], 0),
+    ])
+    def test_non_finite_root_fails_at_its_index(self, solver, oracle, index):
+        # dev > tol is false for a nan deviation, so nan must fail as inf does.
+        rep = compare(solver, oracle, tol=1e-9)
+        assert (rep.verdict, rep.mismatch_index) == ("fail", index)
+        assert rep.message.startswith(f"root {index + 1} deviates by ")
+        assert rep.max_deviation == 0.0
+
     def test_max_deviation_by_outcome(self):
         # A deviation failure reports the largest deviation before the
         # failing root; a count mismatch reports none.

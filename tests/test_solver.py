@@ -62,7 +62,8 @@ def dropped(table, *rows):
 class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig(k_max=10.0)
-        assert cfg.root_tol == 1e-12
+        # The root tolerance is a constant too, read through the class.
+        assert cfg.root_tol == SolverConfig.root_tol == trig.ROOT_TOL == 1e-12
         # The coincidence threshold is a constant, read through the config.
         assert cfg.coincidence_tol == trig.COINCIDENCE_TOL == 1e-10
         # The ladder's depth is no setting: build_ladder caps it.
@@ -71,11 +72,13 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(k_max=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k_max=10.0, root_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k_max=10.0, root_tol=11.0)
-        # Neither the coincidence threshold nor the ladder's depth is a setting.
+        # A window that ends at or below ROOT_TOL, where every window
+        # starts, is refused by name.
+        with pytest.raises(ValueError, match=r"^k_max must exceed ROOT_TOL = 1e-12, got 1e-13$"):
+            SolverConfig(k_max=1e-13)
+        # Neither tolerance nor the ladder's depth is a setting.
+        with pytest.raises(TypeError):
+            SolverConfig(k_max=1.0, root_tol=1e-9)
         with pytest.raises(TypeError):
             SolverConfig(k_max=1.0, coincidence_tol=1e-4)
         with pytest.raises(TypeError):
@@ -229,27 +232,32 @@ class TestSolveLadder:
         assert sol.spectrum[0].kind == INTERIOR
 
     def test_root_tol_must_resolve_separator_spacing(self):
-        f = pure_cosine(100.0)
-        with pytest.raises(ValueError, match="root_tol"):
-            solve_ladder(f, SolverConfig(k_max=1.0, root_tol=0.1))
+        # pi/s0 = 1.57e-12 is less than 2*ROOT_TOL: the message names s0,
+        # which comes from the file, not the tolerance, which is fixed.
+        with pytest.raises(ValueError, match=r"^s0 = 2000000000000\.0 is too large: the "
+                           r"separator spacing pi/s0 = 1\.57\d*e-12 must exceed twice the root "
+                           r"tolerance, 2e-12$"):
+            solve_ladder(pure_cosine(2.0e12), SolverConfig(k_max=1.0))
 
     def test_root_tol_must_fit_twice_in_the_spacing(self):
-        # A root_tol in (pi/(2*s0), pi/s0) would place each root no better
-        # than its separators already do.
-        f = pure_cosine(2.0)
-        with pytest.raises(ValueError, match=r"2\*root_tol = 1\.6 .* pi/s0 = 1\.57"):
-            solve_ladder(f, SolverConfig(k_max=10.0, root_tol=0.8))
-        assert len(solve_ladder(f, SolverConfig(k_max=10.0, root_tol=0.5)).spectrum) == 6
+        # A ROOT_TOL in (pi/(2*s0), pi/s0) would place each root no better
+        # than its separators already do.  The bound is pi/(2*ROOT_TOL) =
+        # 1.57e12: just above it is refused, just below it solves.
+        with pytest.raises(ValueError, match=r"pi/s0 = 1\.96"):
+            solve_ladder(pure_cosine(1.6e12), SolverConfig(k_max=1e-10))
+        sol = solve_ladder(pure_cosine(1.5e12, 0.5), SolverConfig(k_max=1e-10))
+        assert len(sol.spectrum) == 47
 
-    def test_narrow_bracket_keeps_its_root(self):
-        # The first bracket, (0.7, pi/2], is not wider than 2*root_tol; its
-        # root pi/4 is kept as the bracket's midpoint, within root_tol.
-        cfg = SolverConfig(k_max=10.0, root_tol=0.7)
-        ks = solve_ladder(pure_cosine(2.0), cfg).spectrum.ks
+    def test_narrow_bracket_keeps_its_root(self, monkeypatch):
+        # With ROOT_TOL at 0.7 the first bracket, (0.7, pi/2], is not wider
+        # than 2*ROOT_TOL; its root pi/4 is kept as the bracket's midpoint,
+        # within ROOT_TOL.
+        monkeypatch.setattr(solver, "ROOT_TOL", 0.7)
+        ks = solve_ladder(pure_cosine(2.0), SolverConfig(k_max=10.0)).spectrum.ks
         expected = [(2 * n + 1) * math.pi / 4.0 for n in range(6)]
         assert len(ks) == 6
         assert ks[0] == 0.5 * (0.7 + math.pi / 2.0)
-        assert np.all(np.abs(ks - expected) <= cfg.root_tol)
+        assert np.all(np.abs(ks - expected) <= 0.7)
 
     def test_trivial_zero_at_origin_excluded(self, worked_star):
         # Star functions vanish identically at k = 0; the leading stub

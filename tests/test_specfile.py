@@ -174,13 +174,11 @@ class TestTrigFiles:
             leading: {S0: 6.0, gamma0: 0.0}
             terms: []
             solver:
-              root_tol: "1e-12"
-              k_max: 1e+1
+              k_max: "1e1"
             """,
         )
         spec = load_graph_spec(path)
-        assert spec.solver_overrides["root_tol"] == 1e-12
-        assert spec.solver_overrides["k_max"] == 10.0
+        assert spec.solver_overrides == {"k_max": 10.0}
 
     def test_round_trip(self, tmp_path, worked_star):
         data = trig_spec_data(worked_star)
@@ -281,7 +279,7 @@ class TestSchemaErrors:
             alpha: [1.0, 7.0, 11.0]
             beta: [0.1, 0.2, 0.5]
             solver:
-              root_tol: -1.0
+              k_max: -1.0
             """,
         )
         with pytest.raises(SpecFileError, match="must be positive") as e:
@@ -298,12 +296,12 @@ class TestSchemaErrors:
             alpha: [1.0, 7.0, 11.0]
             beta: [0.1, 0.2, 0.5]
             solver:
-              {"root_tol: 0.001" if key == "k_max" else "k_max: 30"}
+              {"# the window" if key == "k_max" else "k_max: 30"}
               {key}: {value}
             """,
         )
-        # coincidence_tol is no setting, so it is refused whatever its value.
-        message = (f"unknown key '{key}' (allowed: k_max, root_tol)" if key == "coincidence_tol"
+        # The tolerances are no settings, so they are refused whatever their value.
+        message = (f"unknown key '{key}' (allowed: k_max)" if key != "k_max"
                    else f"{key} must be positive and finite")
         with pytest.raises(SpecFileError) as e:
             load_graph_spec(path)
@@ -339,7 +337,7 @@ class TestSchemaErrors:
         with pytest.raises(SpecFileError) as e:
             load_graph_spec(path)
         assert (e.value.line, e.value.message) == (
-            5, "unknown key 'max_order' (allowed: k_max, root_tol)")
+            5, "unknown key 'max_order' (allowed: k_max)")
 
     def test_message_carries_path_and_line(self, tmp_path):
         path = write(tmp_path, "kind: pentagram\n")
@@ -398,7 +396,7 @@ class TestLoaderErrors:
                      "potential strength must satisfy 0 <= lambda < 1, got 1.5", id="bad-lambda-listed-first"),
         pytest.param("kind: star\nL: [10.0, -35.0, 22.0]\nlambda: [0.99, 0.5, 0.75]\n", 2,
                      "bond length must be positive, got -35.0", id="bad-L"),
-        pytest.param("kind: star\nalpha: [1.0, 7.0, 11.0]\nbeta: [0.1, 0.2, 1.5]\nsolver:\n  root_tol: -1.0\n", 3,
+        pytest.param("kind: star\nalpha: [1.0, 7.0, 11.0]\nbeta: [0.1, 0.2, 1.5]\nsolver:\n  k_max: -1.0\n", 3,
                      "momentum rescaling must satisfy 0 < beta <= 1, got 1.5", id="bad-beta-and-bad-solver"),
         pytest.param("kind: chain\n", 1, "missing required key 'actions'", id="chain-missing-both"),
         pytest.param("kind: chain\nbeta: [0.4, 0.5, 0.3]\n", 1,
@@ -432,12 +430,14 @@ class TestLoaderErrors:
                      "expected a number, got 'x'", id="term-gamma-inf-and-a-text"),
         pytest.param(_STAR + "solver: 50\n", 4, "solver must be a mapping", id="solver-scalar"),
         pytest.param(_STAR + "solver:\n  k_max: 50.0\n  tolerance: 1e-9\n", 6,
-                     "unknown key 'tolerance' (allowed: k_max, root_tol)",
+                     "unknown key 'tolerance' (allowed: k_max)",
                      id="solver-unknown-key"),
-        pytest.param(_STAR + "solver:\n  root_tol: 0.0\n  k_max: -5.0\n", 6,
-                     "k_max must be positive and finite, got -5.0", id="solver-bad-values-in-key-order"),
+        # The root tolerance is no setting: a file that sets it is refused
+        # at its line, before the bad k_max below it.
+        pytest.param(_STAR + "solver:\n  root_tol: 1e-9\n  k_max: -5.0\n", 5,
+                     "unknown key 'root_tol' (allowed: k_max)", id="solver-root-tol"),
         pytest.param(_STAR + "solver:\n  max_order: true\n", 5,
-                     "unknown key 'max_order' (allowed: k_max, root_tol)",
+                     "unknown key 'max_order' (allowed: k_max)",
                      id="max-order-bool"),
         pytest.param("kind: star\n1: [1.0, 7.0, 11.0]\n", 2,
                      "mapping keys must be strings, got 1", id="non-string-key"),
@@ -463,11 +463,3 @@ class TestLoaderErrors:
         with pytest.raises(SpecFileError) as e:
             load_graph_spec(path)
         assert (e.value.line, e.value.message) == (line, message)
-
-    def test_solver_overrides_keep_the_fixed_key_order(self, tmp_path):
-        path = write(
-            tmp_path,
-            _STAR + 'solver:\n  root_tol: "1e-13"\n  k_max: 30\n',
-        )
-        overrides = load_graph_spec(path).solver_overrides
-        assert list(overrides.items()) == [("k_max", 30.0), ("root_tol", 1e-13)]

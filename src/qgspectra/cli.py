@@ -33,7 +33,7 @@ import math
 import sys
 from typing import Sequence
 
-from .oracle import compare, scan_roots, weyl_audit
+from .oracle import _check_tol, compare, scan_roots, weyl_audit
 from .solver import (
     INTERIOR,
     SEPARATOR_COINCIDENCE,
@@ -159,8 +159,7 @@ def _cmd_order(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_graph_spec(args.graph)
     # Refused before the solve, which a bad tolerance would only waste.
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    _check_tol("--tol", args.tol)
     cfg = SolverConfig(_kmax(spec, args))
     solution = solve_ladder(spec.function, cfg)
     ks = solution.spectrum.ks

@@ -18,8 +18,9 @@ A description file is a single YAML mapping with a ``kind`` discriminator:
     ``terms`` is a list of maps with keys ``S``, ``gamma``, ``a``.  Phases
     are in units of pi.
 
-Any kind may carry an optional ``solver`` map with one key, ``k_max``,
-a positive finite number: the window.  The tolerances are no settings
+Any kind may carry an optional ``solver`` map of ``solver.SolverConfig``'s
+fields, today only ``k_max``: the window, judged as ``SolverConfig``
+judges it and refused at its line.  The tolerances are no settings
 (``trig.ROOT_TOL``, ``trig.COINCIDENCE_TOL``), so a ``root_tol`` or
 ``coincidence_tol`` key is refused as unknown.
 
@@ -37,12 +38,13 @@ JSON files parse too (YAML is a superset), with the same anchoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any
 
 import yaml
 
 from .graphs import ChainGraphSpec, GraphParameterError, StarGraphSpec, build_chain, build_star
+from .solver import SolverConfig
 from .trig import NormalizeError, TrigSpectralFunction, normalize
 
 __all__ = [
@@ -52,7 +54,6 @@ __all__ = [
     "trig_spec_data",
 ]
 
-_SOLVER_KEYS = ("k_max",)
 _LEADING_KEYS = ("S0", "gamma0")
 _TERM_KEYS = ("S", "gamma", "a")
 
@@ -79,8 +80,7 @@ class LoadedSpec:
     kind: str
     function: TrigSpectralFunction
     graph: StarGraphSpec | ChainGraphSpec | None
-    solver_overrides: dict[str, float] = field(default_factory=dict)
-    path: str = "<memory>"
+    solver_overrides: dict[str, float]
 
 
 class _Doc:
@@ -202,15 +202,16 @@ def _mapping(doc: _Doc, value: Any, allowed: tuple | None, required: tuple, *pat
 def _solver_overrides(doc: _Doc, data: dict) -> dict[str, float]:
     if "solver" not in data:
         return {}
-    block = _mapping(doc, data["solver"], _SOLVER_KEYS, (), "solver")
+    keys = tuple(f.name for f in fields(SolverConfig))
+    block = _mapping(doc, data["solver"], keys, (), "solver")
     out: dict[str, float] = {}
-    for key in _SOLVER_KEYS:
-        if key not in block:
-            continue
-        v = _num(doc, block[key], "solver", key)
-        if not (math.isfinite(v) and v > 0.0):
-            raise doc.fail(f"{key} must be positive and finite, got {v}", "solver", key)
-        out[key] = v
+    for key in keys:
+        if key in block:
+            out[key] = _num(doc, block[key], "solver", key)
+            try:  # each key alone, while SolverConfig's other fields have defaults
+                SolverConfig(**{key: out[key]})
+            except ValueError as exc:
+                raise doc.fail(str(exc), "solver", key) from exc
     return out
 
 
@@ -306,7 +307,7 @@ def load_graph_spec(path: str) -> LoadedSpec:
     load, keys, required = _KINDS[kind]
     _mapping(doc, data, ("kind", *keys, "solver"), required)
     function, graph = load(doc, data)
-    return LoadedSpec(kind, function, graph, _solver_overrides(doc, data), doc.path)
+    return LoadedSpec(kind, function, graph, _solver_overrides(doc, data))
 
 
 def trig_spec_data(f: TrigSpectralFunction) -> dict[str, Any]:

@@ -169,15 +169,6 @@ class DerivativeLadder:
         return len(self.levels)
 
 
-def _canon_phase(gamma: float) -> float:
-    # fmod is exact for doubles, so phases that differ by an even integer
-    # collapse to bitwise-identical representatives.
-    g = math.fmod(gamma, 2.0)
-    if g < 0.0:
-        g += 2.0
-    return g + 0.0  # -0.0 -> +0.0
-
-
 def normalize(
     s0: float,
     gamma0: float,
@@ -204,7 +195,10 @@ def normalize(
         raise NormalizeError("leading phase must be finite")
 
     lead = 1.0
-    g0c = _canon_phase(gamma0)
+    # Float % is exact for doubles (fmod, then one sign fix, and +0.0 for
+    # -0.0), so phases that differ by an even integer collapse to
+    # bitwise-identical representatives.
+    g0c = gamma0 % 2.0
     merged: dict[tuple[float, float], float] = {}
     for s, g, a in raw_terms:
         if not (math.isfinite(s) and math.isfinite(g) and math.isfinite(a)):
@@ -215,7 +209,7 @@ def normalize(
             )
         if s < 0.0:
             s, g = -s, -g
-        g = _canon_phase(g)
+        g %= 2.0
         if s == s0:
             d = g - g0c
             if d == 0.0:

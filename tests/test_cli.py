@@ -41,6 +41,9 @@ solver:
   k_max: 40.0
 """
 
+# A raw sum whose one term, added below, sits at the leading action S0 = 6.
+TRIG_AT_S0 = "kind: trig\nleading: {S0: 6.0, gamma0: 0.0}\nterms:\n"
+
 
 @pytest.fixture()
 def star_file(tmp_path):
@@ -277,6 +280,8 @@ class TestEval:
         (["--k", "1", "--kmax", "9"], "--k points take no grid"),
         (["--k", "1", "--step", "0.5", "--kmin", "3", "--kmax", "9"],
          "--k points take no grid: drop --kmin, --kmax and --step"),
+        (["--kmin", "5", "--kmax", "1", "--step", "0.5"], "grid needs step > 0 and kmax > kmin"),
+        (["--kmax", "1", "--step", "0"], "grid needs step > 0 and kmax > kmin"),
     ])
     def test_rejects_grids_that_cannot_be_tabulated(self, capsys, star_file, grid, reason):
         rc, out, err = run(capsys, ["eval", "--graph", star_file, *grid])
@@ -358,6 +363,27 @@ class TestFailureModes:
         rc, _, err = run(capsys, ["solve", "--graph", str(p), "--kmax", "4"])
         assert rc == 1
         assert f"{p}:1:" in err
+
+    @pytest.mark.parametrize("text, line, message", [
+        pytest.param(TRIG_AT_S0 + "  - {S: 6.0, gamma: 0.25, a: 0.5}\n", 4,
+                     "unfoldable top action: term at the leading action has phase 0.25 (mod 2) "
+                     "incompatible with the leading phase 0.0 (mod 2)", id="unfoldable-top-action"),
+        pytest.param(TRIG_AT_S0 + "  - {S: 6.0, gamma: 0.0, a: 1.0}\n", 4,
+                     "degenerate leading term: top-action terms cancel the leading coefficient "
+                     "exactly", id="trig-degenerate-leading-term"),
+        pytest.param("kind: chain\nactions: [1.0, 1.0, 0.5, -1.0]\nbeta: [1.0, 3.0, 9.0]\n", 2,
+                     "degenerate leading term: top-action terms cancel the leading coefficient "
+                     "exactly", id="chain-degenerate-leading-term"),
+        # The file's window is judged as the flag's is, and anchored at its line.
+        pytest.param(STAR_YAML + "solver:\n  k_max: 1.0e-13\n", 5,
+                     "k_max must exceed ROOT_TOL = 1e-12, got 1e-13", id="window-below-root-tol"),
+    ])
+    def test_refusal_exits_1_at_its_line(self, capsys, tmp_path, text, line, message):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text, encoding="utf-8")
+        rc, out, err = run(capsys, ["solve", "--graph", str(p)])
+        assert (rc, out) == (1, "")
+        assert err == f"qgspectra: error: {p}:{line}: {message}\n"
 
     def test_no_search_window(self, capsys, star_file):
         rc, _, err = run(capsys, ["solve", "--graph", star_file])

@@ -286,6 +286,15 @@ class TestSchemaErrors:
             load_graph_spec(path)
         assert e.value.line == 5
 
+    @pytest.mark.parametrize("block, overrides", [
+        ("{}", {}),
+        # Just above ROOT_TOL, where every window starts.
+        ("{k_max: 2.0e-12}", {"k_max": 2e-12}),
+    ])
+    def test_solver_block_loads(self, tmp_path, block, overrides):
+        path = write(tmp_path, _STAR + f"solver: {block}\n")
+        assert load_graph_spec(path).solver_overrides == overrides
+
     @pytest.mark.parametrize("key", ["k_max", "root_tol", "coincidence_tol"])
     @pytest.mark.parametrize("value", [".inf", ".nan", "-.inf"])
     def test_non_finite_solver_override(self, tmp_path, key, value):
@@ -428,10 +437,23 @@ class TestLoaderErrors:
                      "|S| = 7.0 exceeds S0 = 6.0", id="term-S-too-big-and-gamma-text"),
         pytest.param(_LEADING + "terms:\n  - {S: 1.0, gamma: .inf, a: x}\n", 4,
                      "expected a number, got 'x'", id="term-gamma-inf-and-a-text"),
+        pytest.param(_LEADING + "terms:\n  - {S: 6.0, gamma: 0.25, a: 0.5}\n", 4,
+                     "unfoldable top action: term at the leading action has phase 0.25 "
+                     "(mod 2) incompatible with the leading phase 0.0 (mod 2)",
+                     id="trig-unfoldable-top-action"),
+        pytest.param(_LEADING + "terms:\n  - {S: 6.0, gamma: 0.0, a: 1.0}\n", 4,
+                     "degenerate leading term: top-action terms cancel the leading "
+                     "coefficient exactly", id="trig-degenerate-leading-term"),
+        pytest.param("kind: chain\nactions: [1.0, 1.0, 0.5, -1.0]\nbeta: [1.0, 3.0, 9.0]\n", 2,
+                     "degenerate leading term: top-action terms cancel the leading "
+                     "coefficient exactly", id="chain-degenerate-leading-term"),
         pytest.param(_STAR + "solver: 50\n", 4, "solver must be a mapping", id="solver-scalar"),
         pytest.param(_STAR + "solver:\n  k_max: 50.0\n  tolerance: 1e-9\n", 6,
                      "unknown key 'tolerance' (allowed: k_max)",
                      id="solver-unknown-key"),
+        # Positive, but inside the root tolerance where every window starts.
+        pytest.param(_STAR + "solver:\n  k_max: 1.0e-13\n", 5,
+                     "k_max must exceed ROOT_TOL = 1e-12, got 1e-13", id="solver-k-max-below-root-tol"),
         # The root tolerance is no setting: a file that sets it is refused
         # at its line, before the bad k_max below it.
         pytest.param(_STAR + "solver:\n  root_tol: 1e-9\n  k_max: -5.0\n", 5,

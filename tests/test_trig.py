@@ -120,6 +120,17 @@ class TestNormalize:
         with pytest.raises(NormalizeError):
             normalize(2.0, math.inf, [])
 
+    @pytest.mark.parametrize("s0, gamma0, terms, message", [
+        (0.0, 0.0, (), "leading action must be positive and finite"),
+        (2.0, math.nan, (), "leading phase must be finite"),
+        (2.0, 0.0, (Term(1.0, 0.0, math.nan),), "non-finite term"),
+        (2.0, 0.0, (Term(-1.0, 0.0, 0.1),), "term action must be nonnegative"),
+        (2.0, 0.0, (Term(3.0, 0.0, 0.1),), "term action 3.0 exceeds the leading action 2.0"),
+    ])
+    def test_direct_construction_refuses_invalid_fields(self, s0, gamma0, terms, message):
+        with pytest.raises(ValueError, match=message):
+            TrigSpectralFunction(s0, gamma0, terms)
+
     def test_terms_sorted_by_action(self):
         f = normalize(10.0, 0.0, [(2.0, 0.0, 0.1), (7.0, 0.0, 0.1), (4.0, 0.0, 0.1)])
         assert [t.s for t in f.terms] == [7.0, 4.0, 2.0]
@@ -436,6 +447,10 @@ class TestDerivativeLadder:
     def test_level_zero_is_same_object(self):
         f = make_fn()
         assert derivative_level(f, 0) is f
+
+    def test_negative_level_refused(self):
+        with pytest.raises(ValueError, match="derivative level must be nonnegative, got -1"):
+            derivative_level(make_fn(), -1)
 
     def test_phase_shift_and_damping(self):
         f = normalize(4.0, 0.5, [(2.0, 0.25, 0.8)])

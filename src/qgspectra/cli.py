@@ -160,14 +160,14 @@ def _cmd_verify(args) -> int:
     spec = load_graph_spec(args.graph)
     # Refused before the solve, which a bad tolerance would only waste.
     _check_tol("--tol", args.tol)
+    refine_tol = min(ROOT_TOL, args.tol / 10.0)
+    if refine_tol == 0.0:
+        raise ValueError(f"--tol {args.tol!r} is too small: a tenth of it, the scan's "
+                         "refinement tolerance, underflows to 0")
     cfg = SolverConfig(_kmax(spec, args))
     solution = solve_ladder(spec.function, cfg)
     ks = solution.spectrum.ks
-    oracle_roots, step = scan_roots(
-        spec.function,
-        (0.0, cfg.k_max),
-        refine_tol=min(ROOT_TOL, args.tol / 10.0),
-    )
+    oracle_roots, step = scan_roots(spec.function, (0.0, cfg.k_max), refine_tol=refine_tol)
     report = compare(ks, oracle_roots, tol=args.tol, scan_step=step)
     print(f"order: M = {solution.ladder.order}")
     print(

@@ -32,21 +32,21 @@ widths and distances are its own and do not go through
 ``4*refine_tol`` of the last one kept.  A certified near-zero decision
 has to replace them too.
 
-Each root of ``g`` (p = 0) and each extremum, a root of ``g'`` (p = 1),
-is refined by ``trig.refine_roots``, the certified Halley refinement the
-solver uses, started at the secant point of the end values its cell
-already holds: every sign-change cell, both sides of each split
-extremum, and each extremum.  An element it certifies is within
-``refine_tol + 4*eps*|k|`` of a sign change of ``g^(p)``.  An element
-it leaves uncertified, which its step rule or a stall ends, as at a
-star's extremum at k = 0 or a near-double root, is refined again from
-its cell by ``_refine``.
+Each root of ``g``, and each extremum as a root of level 1 ``g'/s0`` on
+its own ``trig.Derivatives``, is refined by ``trig.refine_roots``, the
+certified Halley refinement the solver uses, started at the secant point
+of the end values its cell already holds: every sign-change cell, both
+sides of each split extremum, and each extremum.  An element it
+certifies is within ``refine_tol + 4*eps*|k|`` of a sign change of the
+level it refines.  An element it leaves uncertified, which its step rule
+or a stall ends, as at a star's extremum at k = 0 or a near-double root,
+is refined again from its cell by ``_refine``.
 
 ``_refine`` is a batched interval Newton (Moore; Tucker, *Validated
 Numerics*, 2011), each cell stopping on its own.  At the midpoint ``m``
-of a cell of half-width ``r`` it reads ``F = g^(p)(m)`` and
-``D = g^(p+1)(m)``, with ``e = err_p(m)`` and
-``delta = B_{p+2} r + err_{p+1}(m)``.  Where ``|D| > delta`` the root
+of a cell of half-width ``r`` it reads ``F = g(m)`` and ``D = g'(m)``
+of the level it refines, with ``e = err_0(m)`` and
+``delta = B_2 r + err_1(m)``.  Where ``|D| > delta`` the root
 lies in ``m - [F - e, F + e] / [D - delta, D + delta]`` (mean value
 theorem), rounded outward by two ulps, and the cell is cut to that.  The
 cell is halved on the sign of ``F`` only where that sign is certain,
@@ -97,11 +97,11 @@ or a check fails, the whole window is scanned.  The images rest on the
 exact period of the stored sum: the image of a root of A carries that
 root's certificate, and its one rounding adds at most half an ulp.
 
-No derivative ladder, no separator structure, nothing imported from the
-solver; this is the reference implementation the fast solver is audited
-against.  It shares with the solver only ``trig``: the evaluator, its
-bounds, the certified refinement and the period with its images, none
-of which decides a count.
+No derivative ladder past level 1, no separator structure, nothing
+imported from the solver; this is the reference implementation the fast
+solver is audited against.  It shares with the solver only ``trig``: the
+evaluator, its bounds, level 1, the certified refinement and the period
+with its images, none of which decides a count.
 
 The Weyl audit checks the root count against the leading-order expectation
 ``s0 * k / pi``; for a regular function the deviation is bounded by the
@@ -116,8 +116,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .trig import (COINCIDENCE_TOL, ROOT_TOL, Derivatives, Period, TrigSpectralFunction, period,
-                   refine_roots)
+from .trig import (COINCIDENCE_TOL, ROOT_TOL, Derivatives, Period, TrigSpectralFunction,
+                   derivative_level, period, refine_roots)
 
 # A window is tiled when it is longer than this many periods; the cost
 # behind the rule is in ``scan_roots``.
@@ -158,12 +158,12 @@ class WeylAudit:
         return self.deviation <= bound
 
 
-def _refine(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+def _refine(d: Derivatives, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
             tol: float) -> np.ndarray:
-    """Per-element interval Newton on ``g^(p)`` over cells ``[lo, hi]``.
+    """Per-element interval Newton on ``g = d.f`` over cells ``[lo, hi]``.
 
-    ``d`` gives the values and bounds, and ``flo`` has the sign of
-    ``g^(p)`` at ``lo``; each cell holds a sign change.  The step and its
+    ``d`` gives the values and bounds, and ``flo`` has the sign of ``g``
+    at ``lo``; each cell holds a sign change.  The step and its
     stop rule are in the module docstring; a cell also stops after 200
     steps.  Finished cells leave the batch, so only live ones are evaluated.
     """
@@ -174,11 +174,11 @@ def _refine(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
         if not idx.size:
             break
         mid = 0.5 * (lo + hi)
-        fm, dm = d(mid)[p:p + 2]
-        e = d.err(p, mid)
-        delta = d.B[p + 2] * np.maximum(mid - lo, hi - mid) + d.err(p + 1, mid)
-        # Newton applies where g^(p+1) has no zero on the cell; where it
-        # does and g^(p) is within rounding of zero, the cell stops.
+        fm, dm, _ = d(mid)
+        e = d.err(0, mid)
+        delta = d.B[2] * np.maximum(mid - lo, hi - mid) + d.err(1, mid)
+        # Newton applies where g' has no zero on the cell; where it does
+        # and g is within rounding of zero, the cell stops.
         newton = np.abs(dm) > delta
         halve = (np.abs(fm) > e) | ~newton
         left = halve & (flo * fm < 0.0)
@@ -199,18 +199,19 @@ def _refine(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray, flo: np.ndar
     return out
 
 
-def _certified_roots(d: Derivatives, p: int, lo: np.ndarray, hi: np.ndarray,
+def _certified_roots(d: Derivatives, lo: np.ndarray, hi: np.ndarray,
                      flo: np.ndarray, fhi: np.ndarray, x_max: float, tol: float) -> np.ndarray:
-    """The root of ``g^(p)`` in each cell ``[lo, hi]`` whose end values
-    ``flo`` and ``fhi`` differ in sign.
+    """The root of ``g = d.f`` in each cell ``[lo, hi]`` whose end values
+    ``flo`` and ``fhi``, of ``g`` or any positive multiple of it, differ
+    in sign.
 
     ``trig.refine_roots`` starts each cell at the secant point of its end
     values; the cells it leaves uncertified go to ``_refine``.
     """
     start = lo + flo * (hi - lo) / (flo - fhi)
-    roots, certified = refine_roots(d, p, lo, hi, flo, start, x_max, tol)
+    roots, certified = refine_roots(d, lo, hi, flo, start, x_max, tol)
     rest = ~certified
-    roots[rest] = _refine(d, p, lo[rest], hi[rest], flo[rest], tol)
+    roots[rest] = _refine(d, lo[rest], hi[rest], flo[rest], tol)
     return roots
 
 
@@ -315,15 +316,16 @@ def _scan(d: Derivatives, xl: np.ndarray, xr: np.ndarray, vl: np.ndarray, vr: np
         vr = np.concatenate((vm, vr[:, split]), axis=1)
     xl, xr, vl, vr, turn = (np.concatenate(parts, axis=-1) for parts in zip(*settled))
 
-    x_star = _certified_roots(d, 1, xl[turn], xr[turn], vl[1, turn], vr[1, turn], hi,
-                              refine_tol)
+    # An extremum is a root of level 1, g'/s0: the end values of g' have its signs.
+    x_star = _certified_roots(Derivatives(derivative_level(d.f, 1)), xl[turn], xr[turn],
+                              vl[1, turn], vr[1, turn], hi, refine_tol)
     g_star = d.g(x_star)
     tangent = d.near_zero(g_star, coincidence_tol, x=x_star)
     left = ~tangent & (vl[0, turn] * g_star < 0.0)
     right = ~tangent & (vr[0, turn] * g_star < 0.0)
     cross = ~turn & (vl[0] * vr[0] < 0.0)
     refined = _certified_roots(
-        d, 0,
+        d,
         np.concatenate((xl[cross], xl[turn][left], x_star[right])),
         np.concatenate((xr[cross], x_star[left], xr[turn][right])),
         np.concatenate((vl[0, cross], vl[0, turn][left], g_star[right])),

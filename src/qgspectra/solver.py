@@ -93,8 +93,7 @@ periodic, so ``r* + q*P`` is a root wherever ``r*`` is, and the one
 rounding takes a root within ``ROOT_TOL + 4*eps*r`` of ``r*`` to an image
 within ``ROOT_TOL + 4*eps*k`` of ``r* + q*P``.  The direct pipeline
 answers instead when a level has no root below its lower period in the
-head, when a cut falls at or below ``2*P``, where windows switch paths,
-or when the head's two periods below the cut differ in their
+head, or when the head's two periods below the cut differ in their
 coincidences.
 
 A level's roots are kept as a ``RootTable`` of two columns: the ascending
@@ -290,7 +289,7 @@ def _bracket_roots(derivs: Derivatives, lo, hi, flo, fhi) -> np.ndarray:
     stalled element raises ``RefinementStall``.
     """
     start = lo + (hi - lo) * np.arccos((flo + fhi) / (fhi - flo)) / math.pi
-    ks, _ = refine_roots(derivs, 0, lo, hi, flo, start, float(hi.max(initial=0.0)), ROOT_TOL)
+    ks, _ = refine_roots(derivs, lo, hi, flo, start, float(hi.max(initial=0.0)), ROOT_TOL)
     stalled = np.flatnonzero(np.isnan(ks))
     if stalled.size:
         i = stalled[0]
@@ -444,10 +443,8 @@ def solve_ladder(f: TrigSpectralFunction, cfg: SolverConfig) -> LadderSolution:
     tables = []
     for t in head.tables:
         low, mid, keep = np.searchsorted(t.ks, bounds, side="right")
-        # Below 2*P the direct pipeline answers, so every cut must lie
-        # above it, and the head's two periods below the cut must agree.
-        if not (low and bounds[2] > 2.0 * per.hi and np.array_equal(
-                t.coincident[low:mid], t.coincident[mid:keep])):
+        # The head's two periods below the cut must agree.
+        if not (low and np.array_equal(t.coincident[low:mid], t.coincident[mid:keep])):
             return _solve_direct(ladder, cfg)
         # The lower period is imaged, where the roots carry the least rounding.
         stop = int((cfg.k_max - bounds[0]) // per.hi) + 2

@@ -39,17 +39,17 @@ second and networks-highk 0.87x.
 
 ``Derivatives(f)``, built once per ladder level, holds the kernel's columns
 of ``f`` and of its level 1.  It is the one object that answers questions
-about a level: ``g``, ``g'``, ``g''``, ``g'''`` and their rounding
-bounds, ``.g`` for the values of level 0 or 1 alone, ``sigma``, the
-regularity sums of both levels, and ``near_zero``, which judges where
-computed values are zero.
+about a level: ``g``, ``g'``, ``g''`` and their rounding bounds, ``.g``
+for the values of level 0 or 1 alone, ``sigma``, the regularity sums of
+both levels, and ``near_zero``, which judges where computed values are
+zero.
 
 ``refine_roots`` is the one root refinement.  Given brackets that each
-hold one sign change and one root of ``g`` or ``g'``, it takes
-safeguarded Halley steps from ``Derivatives`` and stops each element
-where a Taylor model certifies the root within its tolerance.  The
-solver refines its brackets with it, and the oracle its roots and
-extrema.
+hold one sign change and one root of a level's ``g``, it takes
+safeguarded Halley steps from that level's ``Derivatives`` and stops
+each element where a Taylor model certifies the root within its
+tolerance.  The solver refines its brackets with it, and the oracle its
+roots and its extrema, which are the roots of level 1.
 
 ``period`` reads the actions as the exact binary fractions they are.  When
 they share a unit ``omega``, every level of the ladder repeats exactly with
@@ -291,23 +291,18 @@ ROOT_TOL = 1e-12
 
 
 class Derivatives:
-    """``g`` and its first three derivatives of one cosine sum, and bounds on their rounding.
+    """``g`` and its first two derivatives of one cosine sum, and bounds on their rounding.
 
     The columns of ``f`` and of its level 1 are stacked once, when it is
     built.  Calling it on 1-d points ``x`` evaluates one cosine matrix of
     both levels, so ``g`` and ``g'`` are bitwise ``self.g(x)``
     and ``f.s0 * self.g(x, 1)``.  Level 2 is level 0 shifted by half a
     turn, so ``g'' = -s0**2 * (C_0 - sum_j a_j r_j**2 C_j)`` with
-    ``r_j = s_j/s0`` reads the cosines ``C`` of level 0 again.  The call
-    returns ``g``, ``g'`` and ``g''``; with ``p = 1`` it returns ``g'``
-    and ``g''``, bitwise the same, and ``g'''``.  Level 3 is level 1
-    shifted by half a turn, so ``g'''`` reads the level-1 cosines again,
-    damped once more by ``r_j**2``.  Only the refinement of extrema asks
-    for it.
+    ``r_j = s_j/s0`` reads the cosines ``C`` of level 0 again.
 
-    ``B[p] = sum_i |a_i| s_i**p`` for p = 0..4, over every term, the leading
-    one included, bounds ``|g^(p)|`` everywhere; ``B_4`` bounds the
-    remainder of the Taylor model of ``g'``.  With ``C_p`` below,
+    ``B[p] = sum_i |a_i| s_i**p`` for p = 0..3, over every term, the leading
+    one included, bounds ``|g^(p)|`` everywhere; ``B_3`` bounds the
+    remainder of the Taylor model of ``g``.  With ``C_p`` below,
     ``err(p, x)`` bounds how far the p-th derivative computed here lies
     from the true one at the same float point ``x >= 0``:
 
@@ -365,33 +360,26 @@ class Derivatives:
         span = _PI * (np.abs(gamma) + 1.0) + (f.n_terms + 2 + _COSINE_UNITS)
         weights = np.abs(a)
         b, c = [], []
-        for _ in range(5):
+        for _ in range(4):
             b.append(math.fsum(weights.tolist()))
             c.append(math.fsum((weights * span).tolist()))
             weights = weights * s
         self.B = tuple(b)
         self._c = tuple(c)
 
-    def __call__(self, x: np.ndarray, p: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``g^(p)``, ``g^(p+1)`` and ``g^(p+2)`` at the 1-d points ``x``, for p = 0 or 1."""
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``g``, ``g'`` and ``g''`` at the 1-d points ``x``."""
         n = self._n
         out = np.empty((3, x.size))
         for block, c in _cosine_blocks(self._actions, self._phases, x):
             c *= self._amplitudes
-            if p == 0:
-                np.subtract.reduce(c[:n], axis=0, out=out[0, block])
-            np.subtract.reduce(c[n:], axis=0, out=out[1 - p, block])
+            np.subtract.reduce(c[:n], axis=0, out=out[0, block])
+            np.subtract.reduce(c[n:], axis=0, out=out[1, block])
             c[:n] *= self._damping
-            np.subtract.reduce(c[:n], axis=0, out=out[2 - p, block])
-            if p == 1:
-                c[n:] *= self._damping
-                np.subtract.reduce(c[n:], axis=0, out=out[2, block])
+            np.subtract.reduce(c[:n], axis=0, out=out[2, block])
         s0 = self.f.s0
-        if p == 0:
-            g, g1, g2 = out
-            return g, s0 * g1, -(s0 * s0) * g2
-        g1, g2, g3 = out
-        return s0 * g1, -(s0 * s0) * g2, -(s0 * s0 * s0) * g3
+        g, g1, g2 = out
+        return g, s0 * g1, -(s0 * s0) * g2
 
     def g(self, ks, level: int = 0) -> np.ndarray:
         """Values of ladder level 0 (``g``) or 1 (``g'/s0``) at an array of
@@ -406,7 +394,7 @@ class Derivatives:
         return out.reshape(ks.shape)
 
     def err(self, p: int, x):
-        """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)``, p = 0..3, at ``x >= 0``."""
+        """The rounding bound ``u * (B_{p+1} x + C_p)`` of ``g^(p)``, p = 0..2, at ``x >= 0``."""
         return UNIT_ROUNDOFF * (self.B[p + 1] * x + self._c[p])
 
     def near_zero(self, v, tol: float = COINCIDENCE_TOL, level: int = 0, x=None) -> np.ndarray:
@@ -442,30 +430,31 @@ _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _END_RTOL = 3.0 * np.finfo(float).eps
 
 
-def refine_roots(d: Derivatives, p: int, lo, hi, flo, x, x_max: float,
+def refine_roots(d: Derivatives, lo, hi, flo, x, x_max: float,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The root of ``g^(p)``, p = 0 or 1, inside each bracket ``[lo, hi]``, all at once.
+    """The root of ``g = d.f`` inside each bracket ``[lo, hi]``, all at once.
 
-    Each bracket must hold exactly one root of ``F = g^(p)`` and a sign
-    change: ``flo`` has the sign of ``F`` at ``lo``, the opposite of its
-    sign at ``hi``.  The iteration starts at ``x`` inside the bracket and
-    takes safeguarded Halley steps ``2*F*F' / (2*F'**2 - F*F'')`` when
-    they stay in the bracket and are at most half the step before last,
-    and bisects otherwise.  ``d(x, p)`` reads ``F``, ``F'`` and ``F''``
-    from one phase matrix per iteration.
+    Each bracket must hold exactly one root of ``g`` and a sign change:
+    ``flo`` has the sign of ``g`` at ``lo``, the opposite of its sign at
+    ``hi``.  The iteration starts at ``x`` inside the bracket and takes
+    safeguarded Halley steps ``2*g*g' / (2*g'**2 - g*g'')`` when they stay
+    in the bracket and are at most half the step before last, and bisects
+    otherwise.  ``d(x)`` reads ``g``, ``g'`` and ``g''`` from one phase
+    matrix per iteration.  An extremum of a sum is a root of its level 1,
+    refined on that level's own ``Derivatives``.
 
     After each evaluation at ``x``, an element returns the Halley point
-    ``y`` as certified once ``_certifier`` proves a sign change of ``F``
+    ``y`` as certified once ``_certifier`` proves a sign change of ``g``
     within ``tol + 4*eps*|y|`` of ``y``; no evaluation point may exceed
     ``x_max``.  Otherwise the element stops uncertified when its last step
     is within that tolerance (Brent's default stopping rule) or no longer
-    moves it; at large k, where the rounding of ``F`` is wider than the
+    moves it; at large k, where the rounding of ``g`` is wider than the
     tolerance, that rule is what ends the loop.  Only unfinished elements
     are evaluated again.  Returns the roots and a mask of the certified
     ones.  An element still running after ``_MAX_ITER`` evaluations has
     stalled; its root is NaN.
     """
-    certify = _certifier(d, p, x_max, tol)
+    certify = _certifier(d, x_max, tol)
     roots = np.full(lo.size, np.nan)
     certified = np.zeros(lo.size, dtype=bool)
     idx = np.arange(lo.size)
@@ -473,7 +462,7 @@ def refine_roots(d: Derivatives, p: int, lo, hi, flo, x, x_max: float,
     lo0, hi0 = lo, hi
     step = step_old = hi - lo
     for _ in range(_MAX_ITER):
-        gx, dg, d2g = d(x, p)
+        gx, dg, d2g = d(x)
         left = (gx < 0.0) == neg_lo
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
@@ -497,36 +486,36 @@ def refine_roots(d: Derivatives, p: int, lo, hi, flo, x, x_max: float,
     return roots, certified
 
 
-def _certifier(d: Derivatives, p: int, x_max: float, tol: float):
-    """A test of where ``F = g^(p)`` provably has its root within the tolerance of ``y``.
+def _certifier(d: Derivatives, x_max: float, tol: float):
+    """A test of where ``g = d.f`` provably has its root within the tolerance of ``y``.
 
-    The test reads ``F``, ``F'`` and ``F''`` as computed at ``x`` in
+    The test reads ``g``, ``g'`` and ``g''`` as computed at ``x`` in
     ``[0, x_max]``, and the bracket ``[lo, hi]`` the refinement started
     from.  It checks the ends ``z = y -+ t``, with ``t = tol + 3*eps*|y|``
     so that a rounded end is still within ``tol + 4*eps*|y|`` of ``y``.
-    With ``d = z - x``, the quadratic Taylor model ``F + F'*d + F''*d**2/2``
+    With ``d = z - x``, the quadratic Taylor model ``g + g'*d + g''*d**2/2``
     is within
 
-        e_p + |d|*e_{p+1} + d**2*e_{p+2}/2 + B_{p+3}*|d|**3/6
+        e_0 + |d|*e_1 + d**2*e_2/2 + B_3*|d|**3/6
 
-    of the true ``F(z)``.  ``e_q`` is the rounding bound ``d.err(q, .)`` of
+    of the true ``g(z)``.  ``e_q`` is the rounding bound ``d.err(q, .)`` of
     the computed ``g^(q)`` (derived in ``Derivatives``), taken at ``x``
-    for ``e_p`` and at ``x_max`` for the others, whose terms are tiny at
-    the ``|d|`` where the test can pass.  ``B_{p+3}`` bounds the third
-    derivative of ``F``, so the last term is Taylor's remainder.  Eight
-    ulps of ``B_p + B_{p+1}*|d| + B_{p+2}*d**2/2``, which bound the
-    model's terms, cover its own evaluation.  Where the model clears that
-    margin at both ends with the signs of ``F`` at ``lo`` and at ``hi``,
-    ``F`` has a root between them.  The bracket holds exactly one root,
-    so the ends must also lie in the bracket, and then that root is
-    within ``tol + 4*eps*|y|`` of ``y``.
+    for ``e_0`` and at ``x_max`` for the others, whose terms are tiny at
+    the ``|d|`` where the test can pass.  ``B_3`` bounds the third
+    derivative of ``g``, so the last term is Taylor's remainder.  Eight
+    ulps of ``B_0 + B_1*|d| + B_2*d**2/2``, which bound the model's
+    terms, cover its own evaluation.  Where the model clears that margin
+    at both ends with the signs of ``g`` at ``lo`` and at ``hi``, ``g``
+    has a root between them.  The bracket holds exactly one root, so the
+    ends must also lie in the bracket, and then that root is within
+    ``tol + 4*eps*|y|`` of ``y``.
     """
-    b = d.B[p:]
+    b = d.B
     ulps = 8.0 * UNIT_ROUNDOFF
-    # The margin past e_p(x), in powers of |d|.
+    # The margin past e_0(x), in powers of |d|.
     c0 = ulps * b[0]
-    c1 = d.err(p + 1, x_max) + ulps * b[1]
-    c2 = 0.5 * (d.err(p + 2, x_max) + ulps * b[2])
+    c1 = d.err(1, x_max) + ulps * b[1]
+    c2 = 0.5 * (d.err(2, x_max) + ulps * b[2])
     c3 = b[3] / 6.0
 
     def certified(x, g, dg, d2g, y, lo, hi, neg_lo) -> np.ndarray:
@@ -534,9 +523,9 @@ def _certifier(d: Derivatives, p: int, x_max: float, tol: float):
         z0, z1 = y - t, y + t
         d0, d1 = z0 - x, z1 - x
         r = np.maximum(np.abs(d0), np.abs(d1))
-        margin = d.err(p, x) + (c0 + r * (c1 + r * (c2 + r * c3)))
+        margin = d.err(0, x) + (c0 + r * (c1 + r * (c2 + r * c3)))
         half = 0.5 * d2g
-        # Positive where the model has the sign of F at lo (at z0) or at hi (at z1).
+        # Positive where the model has the sign of g at lo (at z0) or at hi (at z1).
         side = 1.0 - 2.0 * neg_lo
         m0 = side * (g + d0 * (dg + d0 * half))
         m1 = -side * (g + d1 * (dg + d1 * half))

@@ -196,6 +196,19 @@ class TestVerify:
         assert out == ""
         assert f"--tol must be positive and finite, got {float(tol)}" in err
 
+    def test_tol_whose_tenth_underflows_is_refused(self, capsys, star_file, monkeypatch):
+        # The scan refines to a tenth of --tol, which is 0 for the least
+        # subnormal: refused before the solver runs, naming --tol.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved despite a bad --tol")
+
+        monkeypatch.setattr(cli, "solve_ladder", unreachable)
+        rc, out, err = run(capsys, ["verify", "--graph", star_file, "--kmax", "20",
+                                    "--tol", "5e-324"])
+        assert rc == 1
+        assert out == ""
+        assert "--tol 5e-324 is too small" in err
+
     def test_counting_law_failure(self, capsys, star_file, monkeypatch):
         # A network's level-0 count is audited: a count off by more than
         # the bound T + 1 = 4 fails verify although solver and scan agree.

@@ -29,7 +29,7 @@ from qgspectra import (
     solve_ladder,
     weyl_audit,
 )
-from qgspectra.trig import Period, period, refine_roots
+from qgspectra.trig import Period, derivative_level, period, refine_roots
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS = np.finfo(float).eps
@@ -45,39 +45,44 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
     refinement included, so the comparison also holds the batched scan's
     ``Derivatives.g`` calls to the stacked evaluation's bits.  Each root
     is refined on its own by ``trig.refine_roots``, with the scan's
-    ``x_max``, and by interval Newton where that leaves it uncertified.
+    ``x_max``, and by interval Newton where that leaves it uncertified;
+    each extremum the same way, as a root of level 1 on its own
+    ``Derivatives`` and moments.
     """
     lo, hi = window
-    u = 2.0 ** -53
-    rows = [(f.s0, f.gamma0, 1.0)] + [(t.s, t.gamma, t.a) for t in f.terms]
-    weights = [abs(a) for _, _, a in rows]
-    big_b, big_c = [], []
-    for _ in range(4):
-        big_b.append(math.fsum(weights))
-        big_c.append(math.fsum(w * (math.pi * (abs(g) + 1.0) + (len(rows) + 11))
-                               for w, (_, g, _) in zip(weights, rows)))
-        weights = [w * s for w, (s, _, _) in zip(weights, rows)]
     scale = 1.0 + regularity_sum(f)
     step = math.pi / (4.0 * f.s0)
-    values = Derivatives(f)
 
-    def point(x):
-        return [float(v[0]) for v in values(np.array([x]))]
+    def level(f):
+        # Values, the bounds B_p and the rounding bound err_p of one sum.
+        u = 2.0 ** -53
+        rows = [(f.s0, f.gamma0, 1.0)] + [(t.s, t.gamma, t.a) for t in f.terms]
+        weights = [abs(a) for _, _, a in rows]
+        big_b, big_c = [], []
+        for _ in range(4):
+            big_b.append(math.fsum(weights))
+            big_c.append(math.fsum(w * (math.pi * (abs(g) + 1.0) + (len(rows) + 11))
+                                   for w, (_, g, _) in zip(weights, rows)))
+            weights = [w * s for w, (s, _, _) in zip(weights, rows)]
+        values = Derivatives(f)
+        return SimpleNamespace(
+            values=values, B=big_b,
+            point=lambda x: [float(v[0]) for v in values(np.array([x]))],
+            err=lambda p, x: u * (big_b[p + 1] * x + big_c[p]))
 
-    def err(p, x):
-        return u * (big_b[p + 1] * x + big_c[p])
+    sums, slopes = level(f), level(derivative_level(f, 1))
+    point, err, big_b = sums.point, sums.err, sums.B
 
-    def root_refine(p, a, b, fa):
-        # One interval-Newton step at a time on g^(p), as in the oracle's
-        # ``_refine``.
+    def root_refine(lv, a, b, fa):
+        # One interval-Newton step at a time on the level's g, as in the
+        # oracle's ``_refine``.
         for _ in range(200):
             if b - a <= refine_tol:
                 break
             m = 0.5 * (a + b)
-            v = point(m)
-            fm, dm = v[p], v[p + 1]
-            e = err(p, m)
-            delta = big_b[p + 2] * max(m - a, b - m) + err(p + 1, m)
+            fm, dm, _ = lv.point(m)
+            e = lv.err(0, m)
+            delta = lv.B[2] * max(m - a, b - m) + lv.err(1, m)
             newton = abs(dm) > delta
             certain = abs(fm) > e
             if certain or not newton:
@@ -95,12 +100,12 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
                 break
         return 0.5 * (a + b)
 
-    def refine(p, a, b, fa, fb):
+    def refine(lv, a, b, fa, fb):
         # The certified refinement from the secant point, one cell at a time.
         x0 = a + fa * (b - a) / (fa - fb)
-        root, certified = refine_roots(values, p, *map(np.array, ([a], [b], [fa], [x0])),
+        root, certified = refine_roots(lv.values, *map(np.array, ([a], [b], [fa], [x0])),
                                        hi, refine_tol)
-        return float(root[0]) if certified[0] else root_refine(p, a, b, fa)
+        return float(root[0]) if certified[0] else root_refine(lv, a, b, fa)
 
     roots = []
     xs = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1).tolist()
@@ -123,17 +128,17 @@ def reference_scan(f, window, refine_tol=1e-12, coincidence_tol=1e-10):
         if vb[0] == 0.0:
             roots.append(b)
         if ext and not mono and va[1] * vb[1] < 0.0:
-            x = refine(1, a, b, va[1], vb[1])
+            x = refine(slopes, a, b, va[1], vb[1])
             gx = point(x)[0]
             if abs(gx) <= err(0, x) and abs(gx) <= coincidence_tol * scale:
                 roots.append(x)
                 continue
             if va[0] * gx < 0.0:
-                roots.append(refine(0, a, x, va[0], gx))
+                roots.append(refine(sums, a, x, va[0], gx))
             if vb[0] * gx < 0.0:
-                roots.append(refine(0, x, b, gx, vb[0]))
+                roots.append(refine(sums, x, b, gx, vb[0]))
         elif va[0] * vb[0] < 0.0:
-            roots.append(refine(0, a, b, va[0], vb[0]))
+            roots.append(refine(sums, a, b, va[0], vb[0]))
 
     out = []
     for r in sorted(roots):
@@ -459,8 +464,9 @@ class TestTiledScan:
 def refinements(monkeypatch, f, window):
     """Scan ``f`` over ``window`` and record each of its two refinements.
 
-    The records come extrema (``p = 1``) first.  Each holds the cells
-    ``lo`` and ``hi``, the ``certified`` mask of ``trig.refine_roots``, the
+    The records come extrema first.  Each holds the function ``f`` whose
+    roots were refined, ``f`` itself or its level 1 for the extrema, its
+    ``level``, the cells ``lo`` and ``hi``, the ``certified`` mask of ``trig.refine_roots``, the
     cells ``fallback`` that ``_refine`` received and the ``enclosed``
     roots it returned, the final ``roots``, and each cell's evaluations:
     ``calls`` by the certified refinement and ``newton`` by ``_refine``.
@@ -473,21 +479,22 @@ def refinements(monkeypatch, f, window):
         order = np.argsort(lo)
         calls = np.zeros(lo.size, dtype=int)
 
-        def tally(x, *p):
+        def tally(x):
             calls[order[np.searchsorted(lo[order], x, side="right") - 1]] += 1
-            return d(x, *p)
+            return d(x)
 
-        return calls, FakeDerivatives(tally, d.B, d.err)
+        return calls, FakeDerivatives(tally, d.B, d.err, d.f)
 
-    def certified(d, p, lo, hi, flo, x, x_max, tol):
+    def certified(d, lo, hi, flo, x, x_max, tol):
         calls, counted = counter(d, lo)
-        roots, sure = certify(counted, p, lo, hi, flo, x, x_max, tol)
-        log.append(SimpleNamespace(p=p, lo=lo, hi=hi, certified=sure, calls=calls))
+        roots, sure = certify(counted, lo, hi, flo, x, x_max, tol)
+        log.append(SimpleNamespace(f=d.f, level=int(d.f != f), lo=lo, hi=hi, certified=sure,
+                                   calls=calls))
         return roots, sure
 
-    def fallback(d, p, lo, hi, flo, tol):
+    def fallback(d, lo, hi, flo, tol):
         calls, counted = counter(d, lo)
-        out = refine(counted, p, lo, hi, flo, tol)
+        out = refine(counted, lo, hi, flo, tol)
         rec = log[-1]
         rec.fallback, rec.enclosed, rec.newton = lo, out, np.zeros_like(rec.calls)
         rec.newton[~rec.certified] = calls
@@ -514,30 +521,30 @@ def mp_function(mpmath, f, p=0):
                                   for s, g, a in rows)
 
 
-def assert_roots_match_mpmath(mpmath, f, rec, tol):
-    """Each root of ``rec`` lies in its cell and near a root of ``g^(p)``:
-    within ``tol + 4*eps*|k|``, or within rounding's ``2*err_p/|g^(p+1)|``."""
-    g, dg = mp_function(mpmath, f, rec.p), mp_function(mpmath, f, rec.p + 1)
-    d = Derivatives(f)
+def assert_roots_match_mpmath(mpmath, rec, tol):
+    """Each root of ``rec`` lies in its cell and near a root of ``g = rec.f``:
+    within ``tol + 4*eps*|k|``, or within rounding's ``2*err_0/|g'|``."""
+    g, dg = mp_function(mpmath, rec.f), mp_function(mpmath, rec.f, 1)
+    d = Derivatives(rec.f)
     eps = np.finfo(float).eps
     with mpmath.workdps(50):
         for x, a, z in zip(rec.roots.tolist(), rec.lo.tolist(), rec.hi.tolist()):
             root = mpmath.findroot(g, mpmath.mpf(x))
             assert a <= x <= z
-            slack = max(tol + 4.0 * eps * x, 2.0 * d.err(rec.p, x) / abs(float(dg(root))))
+            slack = max(tol + 4.0 * eps * x, 2.0 * d.err(0, x) / abs(float(dg(root))))
             assert abs(x - float(root)) <= slack
 
 
 class FakeDerivatives:
     """Stands in for ``trig.Derivatives``: ``values(x)`` gives ``g``, ``g'``
-    and ``g''`` (``values(x, p)`` from ``g^(p)`` on), ``B`` the derivative
-    bounds and ``err`` the rounding bound; both bounds are zero unless given."""
+    and ``g''``, ``B`` the derivative bounds, ``err`` the rounding bound and
+    ``f`` the sum; both bounds are zero unless given."""
 
-    def __init__(self, values, B=(0.0,) * 4, err=lambda p, x: 0.0):
-        self.values, self.B, self.err = values, B, err
+    def __init__(self, values, B=(0.0,) * 4, err=lambda p, x: 0.0, f=None):
+        self.values, self.B, self.err, self.f = values, B, err, f
 
-    def __call__(self, x, *p):
-        return self.values(x, *p)
+    def __call__(self, x):
+        return self.values(x)
 
 
 class TestRefine:
@@ -548,7 +555,7 @@ class TestRefine:
             calls.append(x)
             return x - 0.5, np.zeros_like(x), np.zeros_like(x)
 
-        out = qgspectra.oracle._refine(FakeDerivatives(values), 0, np.array([0.0]),
+        out = qgspectra.oracle._refine(FakeDerivatives(values), np.array([0.0]),
                                        np.array([1.0]), np.array([-0.5]), 1e-12)
         assert out.tolist() == [0.5]
         assert len(calls) == 1
@@ -568,7 +575,7 @@ class TestRefine:
             return x - roots[cell], slopes[cell], np.zeros_like(x)
 
         tol = 1e-12
-        out = qgspectra.oracle._refine(FakeDerivatives(values), 0, lo, hi, lo - roots, tol)
+        out = qgspectra.oracle._refine(FakeDerivatives(values), lo, hi, lo - roots, tol)
         assert np.all(np.abs(out - roots) <= tol)
         assert batches[0] == 3 and set(batches[1:]) == {1}
         assert len(batches) == math.ceil(math.log2(1.0 / tol))
@@ -586,7 +593,7 @@ class TestRefine:
         fell_back = 0
         for f, window in cases:
             log = refinements(monkeypatch, f, window)
-            assert [rec.p for rec in log] == [1, 0]
+            assert [rec.level for rec in log] == [1, 0]
             for rec in log:
                 assert np.all(rec.newton <= np.ceil(np.log2((rec.hi - rec.lo) / 1e-12)))
                 fell_back += int((rec.newton > 0).sum())
@@ -604,7 +611,7 @@ class TestRefine:
             return x - root, np.zeros_like(x), np.zeros_like(x)
 
         tol = 1e-12
-        out = qgspectra.oracle._refine(FakeDerivatives(values), 0, np.array([lo]),
+        out = qgspectra.oracle._refine(FakeDerivatives(values), np.array([lo]),
                                        np.array([hi]), np.array([lo - root]), tol)
         assert abs(out[0] - root) <= tol
         assert len(calls) == math.ceil(math.log2((hi - lo) / tol)) + 1
@@ -620,15 +627,15 @@ class TestRefine:
         assert (rec.calls + rec.newton)[mono].max() <= 3
 
     def test_roots_match_mpmath(self, monkeypatch, worked_star, worked_chain):
-        # Roots (p = 0) and extrema (p = 1), certified or not.
+        # Roots and extrema, the roots of level 1, certified or not.
         mpmath = pytest.importorskip("mpmath")
         cases = [(worked_star, (0.0, 12.0)), (worked_star, (1490.0, 1500.0)),
                  (worked_chain, (1490.0, 1500.0)), (worked_chain, (0.0, 12.0))]
         extrema = 0
         for f, window in cases:
             for rec in refinements(monkeypatch, f, window):
-                assert_roots_match_mpmath(mpmath, f, rec, 1e-12)
-                extrema += rec.p * rec.roots.size
+                assert_roots_match_mpmath(mpmath, rec, 1e-12)
+                extrema += rec.level * rec.roots.size
         assert extrema > 0
 
     def test_uncertified_elements_fall_back_to_interval_newton(self, monkeypatch):
@@ -643,8 +650,8 @@ class TestRefine:
         assert rec.fallback.tolist() == rec.lo[rest].tolist()
         assert rec.roots[rest].tolist() == rec.enclosed.tolist()
         assert np.all(rec.newton[rec.certified] == 0) and np.all(rec.newton[rest] > 0)
-        assert_roots_match_mpmath(mpmath, f, SimpleNamespace(
-            p=0, roots=rec.roots[rest], lo=rec.lo[rest], hi=rec.hi[rest]), 1e-12)
+        assert_roots_match_mpmath(mpmath, SimpleNamespace(
+            f=f, roots=rec.roots[rest], lo=rec.lo[rest], hi=rec.hi[rest]), 1e-12)
 
     def test_value_within_rounding_stops_with_the_newton_enclosure(self):
         # g has slope 1 and its true root at 0.5 + 2e-10, but reads 3e-10
@@ -658,7 +665,7 @@ class TestRefine:
             return x - 0.5 + 3e-10 - 5e-10 * (x != 0.5), np.ones_like(x), np.zeros_like(x)
 
         d = FakeDerivatives(values, err=lambda p, x: 1e-9 if p == 0 else 0.0)
-        out = qgspectra.oracle._refine(d, 0, np.array([0.0]), np.array([1.0]),
+        out = qgspectra.oracle._refine(d, np.array([0.0]), np.array([1.0]),
                                        np.array([-0.5]), 1e-12)
         assert len(calls) == 1
         assert out[0] == pytest.approx(0.5 - 3e-10, abs=1e-15)

@@ -332,9 +332,9 @@ class TestDescend:
                     self.sizes = []
                     levels.append(self.sizes)
 
-                def __call__(self, x, p=0):
+                def __call__(self, x):
                     self.sizes.append(x.size)
-                    g, dg, d2g = super().__call__(x, p)
+                    g, dg, d2g = super().__call__(x)
                     return g, dg, 0.0 * d2g if newton else d2g
 
             monkeypatch.setattr(solver, "Derivatives", Counting)
@@ -360,7 +360,8 @@ class TestDescend:
 
 def test_one_derivatives_per_sweep_level_and_per_scan(monkeypatch, worked_star):
     # Each level's evaluator and rounding bounds are built once and shared
-    # by its sweep, refinement, certified stop and count check.
+    # by its sweep, refinement, certified stop and count check; a scan
+    # builds one for each level it refines on.
     built = []
     init = trig.Derivatives.__init__
 
@@ -375,8 +376,9 @@ def test_one_derivatives_per_sweep_level_and_per_scan(monkeypatch, worked_star):
         assert sol.ladder.order == order
         assert built == list(reversed(sol.ladder.levels))
         built.clear()
+        # The scan refines extrema as roots of level 1, on its own evaluator.
         scan_roots(f, (0.0, 50.0))
-        assert built == [f]
+        assert built == [f, trig.derivative_level(f, 1)]
 
 
 def test_every_value_decision_asks_near_zero(monkeypatch, worked_star):
